@@ -21,14 +21,16 @@ from importlib import resources
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
+import numpy as np
+
 from . import __version__
 from .evaluation import (AblationResult, DegenerateLabelsError, SplitSpec,
                          ablation_compare, correlation_matrix,
                          descriptive_stats, evaluate_model)
-from .features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS, MILEAGE_FEATURES,
-                       MODEL_FEATURE_NAMES, SPEED_FEATURES, WINDOW_KINDS,
-                       compute_feature_table, feature_from_row, feature_to_row,
-                       load_holiday_calendar)
+from .features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES,
+                       MILEAGE_FEATURES, MODEL_FEATURE_NAMES, SPEED_FEATURES,
+                       WINDOW_KINDS, compute_feature_table, feature_to_row,
+                       load_holiday_calendar, read_feature_table)
 from .fileio import (atomic_write_text, provenance_line, read_csv_rows,
                      render_csv, sha256_digest)
 from .glm import (CollinearityError, DesignMatrix, SeparationError,
@@ -148,11 +150,6 @@ def _write_json(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _read_features(path: Path):
-    _, rows = read_csv_rows(path)
-    return [feature_from_row(r) for r in rows]
-
-
 def _read_claims(path: Path):
     _, rows = read_csv_rows(path)
     return [claim_from_row(r) for r in rows]
@@ -188,6 +185,8 @@ def cmd_aggregate(ns) -> int:
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
     gap = _opt(ns, "gap_threshold_s", float, DEFAULT_GAP_THRESHOLD_S)
     result = parse_event_file(events_path)
+    for s in result.skipped:
+        print(f"line {s.line_no}: {s.reason}", file=sys.stderr)
     hourly_rows, trip_rows = [], []
     for log in sorted(result.logs, key=lambda l: l.device_id):
         trips = segment_trips(log, gap)
@@ -201,7 +200,8 @@ def cmd_aggregate(ns) -> int:
                       render_csv(HOURLY_CSV_COLUMNS, hourly_rows, prov))
     atomic_write_text(out_dir / "trips.csv",
                       render_csv(TRIP_CSV_COLUMNS, trip_rows, prov))
-    print(f"wrote {len(hourly_rows)} hourly records and {len(trip_rows)} trips")
+    print(f"wrote {len(hourly_rows)} hourly records and {len(trip_rows)} trips "
+          f"({len(result.skipped)} lines skipped)")
     return 0
 
 
@@ -240,22 +240,24 @@ def cmd_label(ns) -> int:
     return 0
 
 
-def _constant_columns(dicts, names):
-    out = []
-    for n in names:
-        vals = {d[n] for d in dicts}
-        if len(vals) <= 1:
-            out.append(n)
-    return out
+def _read_model_inputs(ns):
+    """The feature table, the claims, and both files' digests for provenance."""
+    features_path = _require(ns.features, "features CSV")
+    claims_path = _require(ns.claims, "claims CSV")
+    inputs = {"features": sha256_digest(features_path),
+              "claims": sha256_digest(claims_path)}
+    return read_feature_table(features_path), _read_claims(claims_path), inputs
 
 
-def _build_design(features, claims, target):
-    devices = [fv.device_id for fv in features]
-    y = build_targets(claims, devices, target)
-    dicts = [fv.as_dict() for fv in features]
-    dropped = _constant_columns(dicts, MODEL_FEATURE_NAMES)
-    kept = tuple(n for n in MODEL_FEATURE_NAMES if n not in dropped)
-    return DesignMatrix.from_rows(dicts, y, kept, devices), dropped
+def _build_design(table, claims, target):
+    """Design over the model features that vary, plus the constant ones dropped."""
+    y = build_targets(claims, table.device_ids, target)
+    values = table.columns(MODEL_FEATURE_NAMES)
+    constant = np.all(values == values[:1], axis=0)
+    dropped = [n for n, c in zip(MODEL_FEATURE_NAMES, constant) if c]
+    design = DesignMatrix.from_values(values[:, ~constant], y,
+                                      [n for n in MODEL_FEATURE_NAMES if n not in dropped])
+    return design, dropped
 
 
 def _eval_report_csv(reports, prov):
@@ -268,64 +270,47 @@ def _eval_report_csv(reports, prov):
     return render_csv(header, rows, prov)
 
 
-def cmd_fit(ns) -> int:
-    features_path = _require(ns.features, "features CSV")
-    claims_path = _require(ns.claims, "claims CSV")
+def _fit_targets(ns, write_models: bool):
+    """Backward elimination and the train/test report for every target.
+
+    Writes ``eval_report.csv`` and, with ``write_models``, one model JSON per
+    target; returns the reports.
+    """
+    table, claims, inputs = _read_model_inputs(ns)
     alpha = _opt(ns, "alpha", float, 0.05)
     spec = SplitSpec(test_fraction=_opt(ns, "test_fraction", float, 0.10),
                      seed=_opt(ns, "seed", int, 0),
                      stratify=_opt(ns, "stratify", bool, False))
-    features = _read_features(features_path)
-    claims = _read_claims(claims_path)
-    inputs = {"features": sha256_digest(features_path),
-              "claims": sha256_digest(claims_path)}
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     reports = []
     for target in TARGETS:
-        design, dropped = _build_design(features, claims, target)
+        design, dropped = _build_design(table, claims, target)
         model = backward_eliminate(design, alpha, target=target)
         selected = design.drop([n for n in design.feature_names
                                 if n not in model.feature_names])
         report, _ = evaluate_model(selected, target, spec)
         reports.append(report)
-        payload = model_to_dict(model)
-        payload["alpha"] = alpha
-        payload["dropped_columns"] = dropped
-        payload["provenance"] = _provenance_obj(spec.seed, inputs)
-        _write_json(out_dir / f"model_{target}.json", payload)
+        if write_models:
+            payload = model_to_dict(model)
+            payload["alpha"] = alpha
+            payload["dropped_columns"] = dropped
+            payload["provenance"] = _provenance_obj(spec.seed, inputs)
+            _write_json(out_dir / f"model_{target}.json", payload)
     atomic_write_text(out_dir / "eval_report.csv",
                       _eval_report_csv(reports, provenance_line(spec.seed, inputs)))
-    kept = {r.target: r for r in reports}
-    for target in TARGETS:
-        r = kept[target]
+    return reports
+
+
+def cmd_fit(ns) -> int:
+    for r in _fit_targets(ns, write_models=True):
         out = "n/a" if r.auc_out_of_sample is None else f"{r.auc_out_of_sample:.3f}"
-        print(f"{target}: auc_in={r.auc_in_sample:.3f} auc_out={out} "
+        print(f"{r.target}: auc_in={r.auc_in_sample:.3f} auc_out={out} "
               f"r2={r.mcfadden_r2:.4f}")
     return 0
 
 
 def cmd_evaluate(ns) -> int:
-    features_path = _require(ns.features, "features CSV")
-    claims_path = _require(ns.claims, "claims CSV")
-    alpha = _opt(ns, "alpha", float, 0.05)
-    spec = SplitSpec(test_fraction=_opt(ns, "test_fraction", float, 0.10),
-                     seed=_opt(ns, "seed", int, 0),
-                     stratify=_opt(ns, "stratify", bool, False))
-    features = _read_features(features_path)
-    claims = _read_claims(claims_path)
-    inputs = {"features": sha256_digest(features_path),
-              "claims": sha256_digest(claims_path)}
-    reports = []
-    for target in TARGETS:
-        design, _ = _build_design(features, claims, target)
-        model = backward_eliminate(design, alpha, target=target)
-        selected = design.drop([n for n in design.feature_names
-                                if n not in model.feature_names])
-        report, _ = evaluate_model(selected, target, spec)
-        reports.append(report)
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
-    atomic_write_text(out_dir / "eval_report.csv",
-                      _eval_report_csv(reports, provenance_line(spec.seed, inputs)))
+    reports = _fit_targets(ns, write_models=False)
     print(f"wrote eval_report.csv for {len(reports)} targets")
     return 0
 
@@ -352,11 +337,12 @@ def _load_scoring_model(ns):
 def cmd_score(ns) -> int:
     features_path = _require(ns.features, "features CSV")
     model, model_digest = _load_scoring_model(ns)
-    features = _read_features(features_path)
-    rows = []
-    for fv in features:
-        p = predict_proba(model, fv.as_dict())
-        rows.append([fv.device_id, fv.window.kind, fv.window.start.isoformat(), p])
+    table = read_feature_table(features_path)
+    # one matrix-vector product; an intercept-only model gives one shared value
+    probs = np.broadcast_to(predict_proba(model, dict(zip(FEATURE_NAMES, table.values.T))),
+                            (len(table.device_ids),))
+    rows = [[dev, kind, start.isoformat(), p] for dev, kind, start, p in
+            zip(table.device_ids, table.window_kinds, table.window_starts, probs.tolist())]
     prov = provenance_line(None, {"features": sha256_digest(features_path),
                                   "model": model_digest})
     out_dir = Path(_opt(ns, "out_dir", str, "."))
@@ -389,21 +375,17 @@ def cmd_premium(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
-    features_path = _require(ns.features, "features CSV")
-    claims_path = _require(ns.claims, "claims CSV")
+    table, claims, inputs = _read_model_inputs(ns)
     group_spec = _opt(ns, "group", str, "accel")
-    features = _read_features(features_path)
-    claims = _read_claims(claims_path)
     results: list[AblationResult] = []
     for target in TARGETS:
-        design, _ = _build_design(features, claims, target)
+        design, _ = _build_design(table, claims, target)
         if group_spec in FEATURE_GROUPS:
             group = [n for n in FEATURE_GROUPS[group_spec] if n in design.feature_names]
         else:
             group = [g.strip() for g in group_spec.split(",") if g.strip()]
         results.append(ablation_compare(design, target, group))
-    prov = provenance_line(None, {"features": sha256_digest(features_path),
-                                  "claims": sha256_digest(claims_path)})
+    prov = provenance_line(None, inputs)
     rows = [[r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
             for r in results]
     out_dir = Path(_opt(ns, "out_dir", str, "."))
@@ -417,38 +399,30 @@ def cmd_ablate(ns) -> int:
 
 
 def cmd_report(ns) -> int:
-    features_path = _require(ns.features, "features CSV")
-    claims_path = _require(ns.claims, "claims CSV")
-    features = _read_features(features_path)
-    claims = _read_claims(claims_path)
-    devices = [fv.device_id for fv in features]
-    y = build_targets(claims, devices, "any")
-    dicts = [fv.as_dict() for fv in features]
+    table, claims, inputs = _read_model_inputs(ns)
+    y = build_targets(claims, table.device_ids, "any")
     names = list(MODEL_FEATURE_NAMES)
-    stat_rows, notes = descriptive_stats(dicts, y, names)
+    values = table.columns(names)
+    stat_rows, notes = descriptive_stats(values, y, names)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    prov = provenance_line(None, {"features": sha256_digest(features_path),
-                                  "claims": sha256_digest(claims_path)})
+    prov = provenance_line(None, inputs)
     out_dir = Path(_opt(ns, "out_dir", str, "."))
-    rows = [[r["feature"],
-             float("nan") if r["mean_acc"] is None else r["mean_acc"],
-             float("nan") if r["std_acc"] is None else r["std_acc"],
-             float("nan") if r["mean_noacc"] is None else r["mean_noacc"],
-             float("nan") if r["std_noacc"] is None else r["std_noacc"]]
+    stats = ("mean_acc", "std_acc", "mean_noacc", "std_noacc")
+    rows = [[r["feature"]] + [float("nan") if r[k] is None else r[k] for k in stats]
             for r in stat_rows]
     atomic_write_text(out_dir / "descriptive.csv",
                       render_csv(("feature", "mean_accidents", "std_accidents",
                                   "mean_no_accidents", "std_no_accidents"),
                                  rows, prov))
-    corr, cnotes = correlation_matrix(dicts, names)
+    corr, cnotes = correlation_matrix(values, names)
     for note in cnotes:
         print(f"note: {note}", file=sys.stderr)
     corr_rows = [[names[i]] + [float(corr[i, j]) for j in range(len(names))]
                  for i in range(len(names))]
     atomic_write_text(out_dir / "correlation.csv",
                       render_csv(["feature"] + names, corr_rows, prov))
-    print(f"wrote descriptive.csv and correlation.csv over {len(features)} rows")
+    print(f"wrote descriptive.csv and correlation.csv over {len(table.device_ids)} rows")
     return 0
 
 
@@ -519,13 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("label", cmd_label, "classify claim severity")
     p.add_argument("--claims", required=True)
 
-    p = add("fit", cmd_fit, "fit the four-target model family")
-    p.add_argument("--features", required=True)
-    p.add_argument("--claims", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stratify", action="store_const", const=True)
+    def add_fit_options(p):
+        p.add_argument("--features", required=True)
+        p.add_argument("--claims", required=True)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--test-fraction", dest="test_fraction", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--stratify", action="store_const", const=True)
+
+    add_fit_options(add("fit", cmd_fit, "fit the four-target model family"))
 
     p = add("score", cmd_score, "score feature vectors with a model")
     p.add_argument("--model", required=True,
@@ -539,13 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admin", type=float)
     p.add_argument("--margin", type=float)
 
-    p = add("evaluate", cmd_evaluate, "in/out-of-sample AUC report")
-    p.add_argument("--features", required=True)
-    p.add_argument("--claims", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stratify", action="store_const", const=True)
+    add_fit_options(add("evaluate", cmd_evaluate, "in/out-of-sample AUC report"))
 
     p = add("ablate", cmd_ablate, "McFadden R^2 with vs without a feature group")
     p.add_argument("--features", required=True)

@@ -8,7 +8,7 @@ with/without-feature-group ablation comparison, and the descriptive tables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,12 +114,6 @@ def split_indices(n: int, spec: SplitSpec,
     return np.flatnonzero(mask), test
 
 
-def train_test_split(rows: Sequence, spec: SplitSpec,
-                     labels: Sequence[int] | None = None) -> tuple[list, list]:
-    train_idx, test_idx = split_indices(len(rows), spec, labels)
-    return [rows[i] for i in train_idx], [rows[i] for i in test_idx]
-
-
 def _scores(model, design: DesignMatrix) -> np.ndarray:
     eta = design.X @ model.coef_vector
     return _sigmoid(eta)
@@ -173,16 +167,17 @@ def ablation_compare(design: DesignMatrix, target: str,
                           r2_without=r2_without, difference=r2_with - r2_without)
 
 
-def descriptive_stats(features: Sequence[Mapping[str, float]],
-                      targets: Sequence[int],
+def descriptive_stats(values: np.ndarray, targets: Sequence[int],
                       names: Sequence[str]) -> tuple[list[dict], list[str]]:
     """Per-feature mean/std split by accident status.
 
+    ``values`` holds one row per observation and one column per name.
     Returns rows {feature, mean_acc, std_acc, mean_noacc, std_noacc} where a
     statistic is None when its group is too small to define it, plus a list
     of diagnostics.  Standard deviations use the n-1 denominator.
     """
-    if len(features) != len(targets):
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(targets):
         raise ValueError("features and targets length mismatch")
     y = np.asarray(targets)
     notes = []
@@ -191,8 +186,7 @@ def descriptive_stats(features: Sequence[Mapping[str, float]],
         if len(idx) == 0:
             notes.append(f"group {gname!r} is empty")
     rows = []
-    for name in names:
-        col = np.asarray([float(f[name]) for f in features])
+    for name, col in zip(names, values.T):
         row: dict = {"feature": name}
         for gname, idx in groups.items():
             vals = col[idx]
@@ -202,17 +196,17 @@ def descriptive_stats(features: Sequence[Mapping[str, float]],
     return rows, notes
 
 
-def correlation_matrix(features: Sequence[Mapping[str, float]],
+def correlation_matrix(values: np.ndarray,
                        names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Pearson correlations between feature columns.
+    """Pearson correlations between the columns of ``values``, named ``names``.
 
     Zero-variance columns get NaN entries (emitted as blanks downstream) and
     a diagnostic.  For the remaining block the matrix is symmetric with unit
     diagonal and positive semidefinite by construction.
     """
-    if len(features) < 2:
+    X = np.ascontiguousarray(values, dtype=float)
+    if X.shape[0] < 2:
         raise ValueError("need at least 2 rows for correlations")
-    X = np.asarray([[float(f[n]) for n in names] for f in features])
     notes = []
     centered = X - X.mean(axis=0)
     sd = X.std(axis=0, ddof=1)
@@ -229,8 +223,3 @@ def correlation_matrix(features: Sequence[Mapping[str, float]],
         ix = np.flatnonzero(valid)
         corr[np.ix_(ix, ix)] = block
     return corr, notes
-
-
-def auc_is_defined(labels: Sequence[int]) -> bool:
-    y = np.asarray(labels)
-    return bool(np.any(y == 1) and np.any(y == 0))

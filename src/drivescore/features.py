@@ -3,14 +3,18 @@
 Three indicator groups: mileage structure (how much, when, in what trip
 lengths), speed profile (averages, maxima by time slice, speed-band shares)
 and harsh-manoeuvre frequencies per 100 km.  Event counts per G-band come in
-from hourly records; the bands themselves are defined in ``bands``.
+from hourly records; the bands themselves are defined in ``bands``.  The
+model commands read ``features.csv`` back as one columnar ``FeatureTable``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, make_dataclass
 from datetime import date, datetime, timedelta, timezone, tzinfo
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from .fileio import read_csv_rows
 from .trips import HourlyRecord, Trip
 
 # Local-clock slices, half-open hour ranges.
@@ -57,61 +61,24 @@ class Window:
         return self.start <= ts < self.end
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    device_id: str
-    window: Window
-    quality_flags: tuple[str, ...]
-
-    mileage: float
-    trips_day: float
-    below_10_pr: float
-    below_30_pr: float
-    over_200: float
-    over_400: float
-    d_total_m: float
-    avg_trip_mil: float
-    avg_trip_dur: float
-    d_business_m: float
-    d_day_m: float
-    d_evening_jam_m: float
-    d_morning_jam_m: float
-    d_holi_m: float
-    d_night_m: float
-    day_m_pr: float
-    ej_m_pr: float
-
-    avg_sp: float
-    max_sp: float
-    max_ej_sp: float
-    max_mj_sp: float
-    max_n_sp: float
-    m_pr_below_20: float
-    m_pr_below_60: float
-    m_pr_over_100: float
-    m_pr_over_130: float
-
-    a1: float
-    a2: float
-    a3: float
-    d1: float
-    d2: float
-    d3: float
-    s1: float
-    s2: float
-    s3: float
-
-    sp1: float = 0.0
-    sp2: float = 0.0
-    sp3: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
+def _as_dict(self) -> dict[str, float]:
+    return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
-_NUMERIC_FIELDS = tuple(f.name for f in fields(FeatureVector)
-                        if f.name not in ("device_id", "window", "quality_flags"))
-assert _NUMERIC_FIELDS == FEATURE_NAMES
+_FEATURE_VECTOR_DOC = """One device's indicator vector over one window.
+
+Fields are the device, the window and the quality flags, then one float per
+``FEATURE_NAMES`` entry in catalog order, so the catalog is declared once.
+The speeding counts default to 0.0 because no pipeline stage derives them.
+"""
+
+FeatureVector = make_dataclass(
+    "FeatureVector",
+    [("device_id", str), ("window", Window), ("quality_flags", tuple[str, ...])]
+    + [(name, float) for name in MODEL_FEATURE_NAMES]
+    + [(name, float, field(default=0.0)) for name in SPEEDING_FEATURES],
+    namespace={"__module__": __name__, "__doc__": _FEATURE_VECTOR_DOC,
+               "as_dict": _as_dict}, frozen=True)
 
 
 def load_holiday_calendar(path) -> frozenset[date]:
@@ -308,11 +275,46 @@ def feature_to_row(fv: FeatureVector) -> list:
     return row
 
 
-def feature_from_row(row: dict) -> FeatureVector:
-    start = datetime.fromisoformat(row["window_start"])
-    kind = row["window_kind"]
-    end = start + (timedelta(days=7) if kind == "weekly" else timedelta(days=36500))
-    flags = tuple(f for f in row["quality_flags"].split(";") if f)
-    values = {name: float(row[name]) for name in FEATURE_NAMES}
-    return FeatureVector(device_id=row["device"], window=Window(kind, start, end),
-                         quality_flags=flags, **values)
+@dataclass(frozen=True)
+class FeatureTable:
+    """Feature rows in columns: ids, window metadata, flags and one matrix.
+
+    ``values`` is a C-contiguous float64 matrix, one row per feature row and
+    one column per name in ``FEATURE_NAMES``.
+    """
+
+    device_ids: tuple[str, ...]
+    window_kinds: tuple[str, ...]
+    window_starts: tuple[datetime, ...]
+    quality_flags: tuple[tuple[str, ...], ...]
+    values: np.ndarray
+
+    def columns(self, names: Sequence[str]) -> np.ndarray:
+        """C-contiguous copy of the named columns, in the given order."""
+        return np.ascontiguousarray(self.values[:, [FEATURE_NAMES.index(n) for n in names]])
+
+
+def read_feature_table(path) -> FeatureTable:
+    """Read a features CSV into a FeatureTable.
+
+    Missing columns, an unknown window kind, an unparseable window start or a
+    non-numeric feature cell raise ValueError naming the file and data row.
+    """
+    header, rows = read_csv_rows(path)
+    missing = [c for c in FEATURE_CSV_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+    values = np.empty((len(rows), len(FEATURE_NAMES)))
+    kinds, starts, flags = [], [], []
+    for i, row in enumerate(rows):
+        try:
+            if row["window_kind"] not in WINDOW_KINDS:
+                raise ValueError(f"unknown window kind: {row['window_kind']!r}")
+            kinds.append(row["window_kind"])
+            starts.append(datetime.fromisoformat(row["window_start"]))
+            flags.append(tuple(f for f in row["quality_flags"].split(";") if f))
+            values[i] = [float(row[name]) for name in FEATURE_NAMES]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: data row {i + 1}: {exc}") from None
+    return FeatureTable(tuple(r["device"] for r in rows), tuple(kinds), tuple(starts),
+                        tuple(flags), values)

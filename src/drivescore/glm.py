@@ -65,7 +65,6 @@ class DesignMatrix:
     feature_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
-    device_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X, y = self.X, self.y
@@ -79,23 +78,25 @@ class DesignMatrix:
             raise ValueError("design matrix contains non-finite values")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("target must be 0/1")
-        if self.device_ids is not None and len(self.device_ids) != X.shape[0]:
-            raise ValueError("device_ids length mismatch")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Mapping[str, float]], y: Sequence[int],
-                  feature_names: Sequence[str],
-                  device_ids: Sequence[str] | None = None) -> "DesignMatrix":
+                  feature_names: Sequence[str]) -> "DesignMatrix":
         names = tuple(feature_names)
         missing = sorted({n for row in rows for n in names if n not in row})
         if missing:
             raise MissingFeatureError(missing)
-        X = np.empty((len(rows), len(names) + 1), dtype=float)
+        values = np.array([[float(row[n]) for n in names] for row in rows], dtype=float)
+        return cls.from_values(values.reshape(len(rows), len(names)), y, names)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, y: Sequence[int],
+                    feature_names: Sequence[str]) -> "DesignMatrix":
+        """Design from an (observations x features) matrix; X is C-contiguous."""
+        X = np.empty((values.shape[0], values.shape[1] + 1), dtype=float)
         X[:, 0] = 1.0
-        for j, name in enumerate(names, start=1):
-            X[:, j] = [float(row[name]) for row in rows]
-        return cls(names, X, np.asarray(y, dtype=float),
-                   tuple(device_ids) if device_ids is not None else None)
+        X[:, 1:] = values
+        return cls(tuple(feature_names), X, np.asarray(y, dtype=float))
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -113,19 +114,30 @@ class DesignMatrix:
         keep = [0] + [j for j, n in enumerate(self.feature_names, start=1)
                       if n not in gone]
         kept_names = tuple(n for n in self.feature_names if n not in gone)
-        return DesignMatrix(kept_names, self.X[:, keep], self.y, self.device_ids)
+        return DesignMatrix(kept_names, self.X[:, keep], self.y)
 
     def intercept_only(self) -> "DesignMatrix":
-        return DesignMatrix((), self.X[:, :1], self.y, self.device_ids)
+        return DesignMatrix((), self.X[:, :1], self.y)
 
     def subset(self, idx: np.ndarray) -> "DesignMatrix":
-        ids = tuple(np.asarray(self.device_ids, dtype=object)[idx]) \
-            if self.device_ids is not None else None
-        return DesignMatrix(self.feature_names, self.X[idx], self.y[idx], ids)
+        return DesignMatrix(self.feature_names, self.X[idx], self.y[idx])
+
+
+class LinearScore:
+    """Scoring surface of fitted and published models: ``columns``
+    (intercept first) and ``coef`` give the linear predictor."""
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.columns[1:]
+
+    @property
+    def coef_vector(self) -> np.ndarray:
+        return np.asarray(self.coef, dtype=float)
 
 
 @dataclass(frozen=True)
-class FittedModel:
+class FittedModel(LinearScore):
     """Maximum-likelihood logistic fit with Wald inference."""
 
     target: str
@@ -139,17 +151,6 @@ class FittedModel:
     converged: bool
     n_iter: int
     flagged: tuple[str, ...] = ()
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.columns[1:]
-
-    @property
-    def coef_vector(self) -> np.ndarray:
-        return np.asarray(self.coef, dtype=float)
-
-    def coef_by_name(self) -> dict[str, float]:
-        return dict(zip(self.columns, self.coef))
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
@@ -293,48 +294,30 @@ def wald_pvalue(coef: float, se: float) -> float:
     return math.erfc(z / math.sqrt(2.0))
 
 
-def wald_pvalues(model: FittedModel) -> dict[str, float]:
-    return dict(zip(model.columns, model.p_values))
+def predict_proba(model, features: Mapping[str, float | np.ndarray]):
+    """Accident probability from a mapping of feature name to value or column.
 
-
-def significance_stars(p: float) -> str:
-    if math.isnan(p):
-        return ""
-    if p < 0.001:
-        return "***"
-    if p < 0.01:
-        return "**"
-    if p < 0.05:
-        return "*"
-    return ""
-
-
-def predict_proba(model, features: Mapping[str, float]) -> float:
-    """Accident probability for one feature mapping.
-
-    Works for any model exposing ``columns`` (intercept first) and
-    ``coef_vector``.  Every model feature must be present; nothing is
-    imputed.  The result is clamped into the open interval (0, 1).
+    Works for any ``LinearScore`` model.  Every model feature must be
+    present and finite; nothing is imputed.  Scalar values give one float;
+    equal-length columns give an array with one probability per row, from one
+    matrix-vector product (an intercept-only model gives a float either way).
+    Results are clamped into the open interval (0, 1).
     """
     names = model.columns[1:]
     missing = [n for n in names if n not in features]
     if missing:
         raise MissingFeatureError(missing)
-    x = np.empty(len(names) + 1)
-    x[0] = 1.0
-    for j, name in enumerate(names, start=1):
-        v = float(features[name])
-        if not math.isfinite(v):
+    cols = [np.asarray(features[n], dtype=float) for n in names]
+    for name, col in zip(names, cols):
+        if not np.all(np.isfinite(col)):
             raise ValueError(f"feature {name!r} is not finite")
-        x[j] = v
-    eta = float(x @ model.coef_vector)
-    if eta >= 0:
-        p = 1.0 / (1.0 + math.exp(-eta))
-    else:
-        e = math.exp(eta)
-        p = e / (1.0 + e)
-    tiny = math.ulp(0.0)
-    return min(max(p, tiny), 1.0 - 2.0 ** -53)
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    X = np.ones(shape + (len(names) + 1,))
+    for j, col in enumerate(cols, start=1):
+        X[..., j] = col
+    p = np.clip(_sigmoid(np.atleast_1d(X @ model.coef_vector)),
+                math.ulp(0.0), 1.0 - 2.0 ** -53)
+    return float(p[0]) if shape == () else p
 
 
 def backward_eliminate(design: DesignMatrix, alpha: float = 0.05,
@@ -416,7 +399,7 @@ def model_from_dict(d: dict) -> FittedModel:
 
 
 @dataclass(frozen=True)
-class ReferenceModel:
+class ReferenceModel(LinearScore):
     """Published coefficient table for one target, usable for scoring.
 
     Coefficients are stored exactly as published (three decimals), so columns
@@ -433,17 +416,6 @@ class ReferenceModel:
     aic: float
     n_obs: int
     non_scorable: tuple[str, ...]
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.columns[1:]
-
-    @property
-    def coef_vector(self) -> np.ndarray:
-        return np.asarray(self.coef, dtype=float)
-
-    def coef_by_name(self) -> dict[str, float]:
-        return dict(zip(self.columns, self.coef))
 
 
 def load_reference_models() -> dict[str, ReferenceModel]:

@@ -8,7 +8,7 @@ accident for modeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 SEVERITY_CLASSES = ("none", "weak", "medium", "strong")
 TARGETS = ("any", "weak", "medium", "strong")
@@ -56,11 +56,6 @@ def classify_severity(claim: ClaimRecord) -> str:
     return "strong"
 
 
-def label_claims(claims: Iterable[ClaimRecord]) -> list[tuple[str, str]]:
-    """(device_id, class) for each claim, in input order."""
-    return [(c.device_id, classify_severity(c)) for c in claims]
-
-
 def build_targets(claims: Sequence[ClaimRecord], devices: Sequence[str],
                   target: str) -> list[int]:
     """Binary target per device.
@@ -95,8 +90,3 @@ def claim_from_row(row: dict) -> ClaimRecord:
         raise ClaimValidationError(f"culprit must be boolean-like, got {row['culprit']!r}")
     return ClaimRecord(row["device"], float(row["loss_size"]),
                        float(row["ins_sum"]), culprit)
-
-
-def claim_to_row(claim: ClaimRecord) -> list:
-    return [claim.device_id, claim.loss_size, claim.ins_sum,
-            "1" if claim.culprit else "0"]

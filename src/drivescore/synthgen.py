@@ -16,7 +16,6 @@ claims that must label as "none".
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -535,7 +534,3 @@ def iter_event_logs(result: SynthResult, limit: int | None = None) -> Iterator[D
     for i in range(n):
         _, event_rng = streams[i]
         yield generate_event_log(result.profiles[i], result.config.weeks, event_rng)
-
-
-def truth_json(result: SynthResult) -> str:
-    return json.dumps(result.truth(), indent=2, sort_keys=False) + "\n"

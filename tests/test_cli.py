@@ -1,4 +1,5 @@
 """Command-line pipeline: artifacts, exit codes, config handling."""
+import csv
 import json
 import math
 
@@ -60,6 +61,18 @@ class TestEventPipeline:
                        "--out-dir", tmp_path) == 0
         fv_rows = rows_of(tmp_path / "features.csv")
         assert len(fv_rows) == 2   # one lifetime row per logged device
+
+    def test_aggregate_reports_skipped_lines(self, small_pop, tmp_path, capsys):
+        lines = (small_pop / "events.jsonl").read_text().splitlines(keepends=True)
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(lines[:3]) + "{not json\n" + "".join(lines[3:]))
+        assert run_cli("aggregate", "--events", events, "--out-dir", tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert "(1 lines skipped)" in out
+        assert err.startswith("line 4: ")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["events.jsonl", "hourly.csv", "trips.csv"]
 
     def test_weekly_window_multiplies_rows(self, small_pop, tmp_path):
         assert run_cli("aggregate", "--events", small_pop / "events.jsonl",
@@ -149,6 +162,63 @@ class TestFitAndReport:
         rows = rows_of(tmp_path / "ablation.csv")
         assert [r["target"] for r in rows] == ["any", "weak", "medium", "strong"]
         assert all(r["group"] == "mileage avg_sp" for r in rows)
+
+
+def _features_sample(src, dst, n_rows=10, drop=None, **cells):
+    """First rows of a features CSV, with one column dropped or row 3 edited."""
+    with open(src, newline="", encoding="utf-8") as f:
+        reader = csv.reader(ln for ln in f if not ln.startswith("#"))
+        header = next(reader)
+        rows = [row for _, row in zip(range(n_rows), reader)]
+    for name, value in cells.items():
+        rows[2][header.index(name)] = value
+    keep = [j for j, name in enumerate(header) if name != drop]
+    with open(dst, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [[r[j] for j in keep] for r in [header] + rows])
+    return dst
+
+
+class TestFeatureInputErrors:
+    BAD = [{"drop": "avg_sp"}, {"mileage": "abc"}, {"avg_sp": "inf"},
+           {"window_kind": "monthly"}, {"window_start": "not-a-date"}]
+
+    @pytest.mark.parametrize("bad", BAD, ids=["missing_column", "non_numeric",
+                                              "inf_in_model_column", "window_kind",
+                                              "window_start"])
+    @pytest.mark.parametrize("command", ["score", "fit"])
+    def test_malformed_features_exit_1(self, small_pop, tmp_path, capsys, bad, command):
+        feats = _features_sample(small_pop / "features.csv", tmp_path / "f.csv", **bad)
+        if command == "score":
+            args = ("score", "--model", "paper-reference", "--target", "any")
+        else:
+            args = ("fit", "--claims", small_pop / "claims.csv")
+        assert run_cli(*args, "--features", feats, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_header_only_exit_codes(self, small_pop, tmp_path):
+        feats = _features_sample(small_pop / "features.csv", tmp_path / "f.csv", n_rows=0)
+        claims = small_pop / "claims.csv"
+        assert run_cli("fit", "--features", feats, "--claims", claims,
+                       "--out-dir", tmp_path) == 3
+        assert run_cli("report", "--features", feats, "--claims", claims,
+                       "--out-dir", tmp_path) == 1
+        assert run_cli("score", "--model", "paper-reference", "--features", feats,
+                       "--out-dir", tmp_path) == 0
+        assert rows_of(tmp_path / "scores.csv") == []
+
+    def test_score_writes_parsed_window_start(self, small_pop, tmp_path):
+        src = rows_of(small_pop / "features.csv")[2]
+        spaced = src["window_start"].replace("T", " ")
+        feats = _features_sample(small_pop / "features.csv", tmp_path / "f.csv",
+                                 n_rows=3, window_start=spaced)
+        assert run_cli("score", "--model", "paper-reference", "--features", feats,
+                       "--out-dir", tmp_path) == 0
+        scores = rows_of(tmp_path / "scores.csv")
+        assert " " in spaced
+        assert scores[2]["window_start"] == src["window_start"]
+        assert [r["device"] for r in scores] == \
+            [r["device"] for r in rows_of(feats)]
 
 
 class TestErrorPaths:

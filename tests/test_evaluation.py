@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivescore.evaluation import (AblationResult, DegenerateLabelsError,
-                                   SplitSpec, ablation_compare, auc_is_defined,
+                                   SplitSpec, ablation_compare,
                                    correlation_matrix, descriptive_stats,
-                                   evaluate_model, roc_auc, split_indices,
-                                   train_test_split)
+                                   evaluate_model, roc_auc, split_indices)
 from drivescore.glm import DesignMatrix
 
 
@@ -86,11 +85,6 @@ class TestSplits:
         with pytest.raises(ValueError):
             SplitSpec(0.0, seed=0)
 
-    def test_train_test_split_rows(self):
-        rows = list(range(40))
-        train, test = train_test_split(rows, SplitSpec(0.1, seed=2))
-        assert sorted(train + test) == rows
-
 
 def _planted_design(n=400, seed=17, extra_noise=True):
     rng = np.random.default_rng(seed)
@@ -138,7 +132,7 @@ class TestAblation:
 
 class TestDescriptiveStats:
     def test_group_means(self):
-        feats = [{"f": 1.0}, {"f": 3.0}, {"f": 10.0}, {"f": 20.0}]
+        feats = np.array([[1.0], [3.0], [10.0], [20.0]])
         rows, notes = descriptive_stats(feats, [0, 0, 1, 1], ["f"])
         assert notes == []
         row = rows[0]
@@ -147,20 +141,19 @@ class TestDescriptiveStats:
         assert row["std_acc"] == pytest.approx(np.std([10, 20], ddof=1))
 
     def test_empty_group_noted(self):
-        rows, notes = descriptive_stats([{"f": 1.0}], [0], ["f"])
+        rows, notes = descriptive_stats(np.array([[1.0]]), [0], ["f"])
         assert any("acc" in n for n in notes)
         assert rows[0]["mean_acc"] is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            descriptive_stats([{"f": 1.0}], [0, 1], ["f"])
+            descriptive_stats(np.array([[1.0]]), [0, 1], ["f"])
 
 
 class TestCorrelationMatrix:
     def test_unit_diagonal_and_symmetry(self):
         rng = np.random.default_rng(41)
-        feats = [{"a": float(v), "b": float(w), "c": float(v + w)}
-                 for v, w in rng.normal(size=(50, 2))]
+        feats = np.array([[v, w, v + w] for v, w in rng.normal(size=(50, 2))])
         corr, notes = correlation_matrix(feats, ["a", "b", "c"])
         assert notes == []
         assert np.allclose(np.diag(corr), 1.0)
@@ -168,13 +161,7 @@ class TestCorrelationMatrix:
         assert corr[0, 2] > 0.5
 
     def test_zero_variance_noted(self):
-        feats = [{"a": 1.0, "k": 5.0}, {"a": 2.0, "k": 5.0}]
+        feats = np.array([[1.0, 5.0], [2.0, 5.0]])
         corr, notes = correlation_matrix(feats, ["a", "k"])
         assert len(notes) == 1
         assert math.isnan(corr[0, 1])
-
-
-def test_auc_is_defined():
-    assert auc_is_defined([0, 1, 1])
-    assert not auc_is_defined([1, 1])
-    assert not auc_is_defined([])

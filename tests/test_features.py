@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from drivescore.features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS,
                                  FEATURE_NAMES, MODEL_FEATURE_NAMES, FeatureVector,
                                  Window, compute_features, compute_feature_table,
-                                 feature_from_row, feature_to_row,
-                                 is_holiday_class, lifetime_window,
-                                 load_holiday_calendar, weekly_windows)
+                                 feature_to_row, is_holiday_class, lifetime_window,
+                                 load_holiday_calendar, read_feature_table,
+                                 weekly_windows)
+from drivescore.fileio import render_csv
 from drivescore.trips import HourlyRecord, Trip
 
 UTC = timezone.utc
@@ -159,16 +160,59 @@ class TestHolidayCalendar:
         assert is_holiday_class(date(2021, 6, 14), cal)
 
 
-def test_feature_row_round_trip():
+def test_feature_row_round_trip(tmp_path):
     hourly = [rec(MON.replace(hour=10), 30.0, 40.0, 80.0,
                   counts=(1, 0, 0, 2, 0, 0, 0, 0, 1))]
     trips = [trip(MON.replace(hour=10), 30.0, 45)]
     fv = compute_features(hourly, trips, lifetime_window(hourly, trips))
-    row = dict(zip(FEATURE_CSV_COLUMNS, (str(v) for v in feature_to_row(fv))))
-    back = feature_from_row(row)
-    assert back.device_id == fv.device_id
-    assert back.quality_flags == fv.quality_flags
-    assert back.as_dict() == fv.as_dict()
+    path = tmp_path / "features.csv"
+    path.write_text(render_csv(FEATURE_CSV_COLUMNS, [feature_to_row(fv)]))
+    table = read_feature_table(path)
+    assert table.device_ids == (fv.device_id,)
+    assert table.quality_flags == (fv.quality_flags,)
+    assert dict(zip(FEATURE_NAMES, table.values[0].tolist())) == fv.as_dict()
+    assert table.window_kinds == ("lifetime",)
+    assert table.window_starts == (fv.window.start,)
+
+
+class TestReadFeatureTable:
+    def _write(self, tmp_path, rows, header=FEATURE_CSV_COLUMNS):
+        path = tmp_path / "features.csv"
+        path.write_text(render_csv(header, rows, "# provenance"))
+        return path
+
+    def _row(self, **cells):
+        row = dict(zip(FEATURE_CSV_COLUMNS, ["d1", "weekly", MON.isoformat(), ""]
+                       + [float(j) for j in range(len(FEATURE_NAMES))]))
+        row.update(cells)
+        return [row[c] for c in FEATURE_CSV_COLUMNS]
+
+    def test_matrix_layout(self, tmp_path):
+        flags = "no_mileage;no_trips"
+        table = read_feature_table(self._write(
+            tmp_path, [self._row(), self._row(device="d2", quality_flags=flags)]))
+        assert table.values.shape == (2, len(FEATURE_NAMES))
+        assert table.values.dtype == float and table.values.flags.c_contiguous
+        assert table.values[1, FEATURE_NAMES.index("avg_sp")] == \
+            FEATURE_NAMES.index("avg_sp")
+        assert table.quality_flags == ((), ("no_mileage", "no_trips"))
+        cols = table.columns(["a1", "mileage"])
+        assert cols.flags.c_contiguous
+        assert cols.tolist() == [[FEATURE_NAMES.index("a1"), 0.0]] * 2
+
+    @pytest.mark.parametrize("cells", [
+        {"mileage": "abc"}, {"avg_sp": ""}, {"window_kind": "monthly"},
+        {"window_start": "not-a-date"}])
+    def test_bad_cell_names_its_row(self, tmp_path, cells):
+        rows = [self._row(), self._row(**cells)]
+        with pytest.raises(ValueError, match="data row 2"):
+            read_feature_table(self._write(tmp_path, rows))
+
+    def test_missing_column(self, tmp_path):
+        header = [c for c in FEATURE_CSV_COLUMNS if c != "avg_sp"]
+        row = [v for c, v in zip(FEATURE_CSV_COLUMNS, self._row()) if c != "avg_sp"]
+        with pytest.raises(ValueError, match="avg_sp"):
+            read_feature_table(self._write(tmp_path, [row], header))
 
 
 def test_catalog_layout():

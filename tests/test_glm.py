@@ -9,7 +9,7 @@ from drivescore.glm import (CollinearityError, DesignMatrix, FittedModel,
                             SingleClassError, backward_eliminate,
                             compute_premium, fit_logistic, mcfadden_r2,
                             model_from_dict, model_to_dict, predict_proba,
-                            significance_stars, wald_pvalue)
+                            wald_pvalue)
 
 
 def design(X, y, names=None):
@@ -127,13 +127,6 @@ class TestWald:
         with pytest.raises(ValueError):
             wald_pvalue(1.0, 0.0)
 
-    def test_stars(self):
-        assert significance_stars(0.0005) == "***"
-        assert significance_stars(0.005) == "**"
-        assert significance_stars(0.03) == "*"
-        assert significance_stars(0.2) == ""
-        assert significance_stars(float("nan")) == ""
-
 
 class TestBackwardElimination:
     def test_keeps_signal_drops_noise(self):
@@ -180,6 +173,19 @@ class TestPredictProba:
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError):
             predict_proba(self._model(), {"a": float("inf"), "b": 0.0})
+
+    def test_columns_match_rows(self):
+        m = self._model()
+        rng = np.random.default_rng(5)
+        cols = {"a": rng.normal(0, 30, 200), "b": rng.normal(0, 30, 200)}
+        got = predict_proba(m, cols)
+        want = [predict_proba(m, {"a": a, "b": b}) for a, b in zip(cols["a"], cols["b"])]
+        assert got.shape == (200,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        const = FittedModel(target="any", columns=("const",), coef=(0.3,), se=(0.1,),
+                            p_values=(0.0,), log_likelihood=-1.0, aic=4.0, n_obs=9,
+                            converged=True, n_iter=3)
+        assert predict_proba(const, cols) == pytest.approx(1 / (1 + math.exp(-0.3)))
 
     def test_stays_inside_open_interval(self):
         m = self._model()

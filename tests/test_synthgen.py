@@ -14,8 +14,7 @@ from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, LONG_TRIP_LO,
                                  SynthConfig, SynthResult, _BASE_HOUR_WEIGHTS,
                                  generate_event_log, generate_population,
                                  iter_event_logs, oracle_features,
-                                 planted_probability, sample_profile,
-                                 truth_json)
+                                 planted_probability, sample_profile)
 from drivescore.trips import aggregate_hourly, segment_trips
 
 UTC = timezone.utc
@@ -34,7 +33,7 @@ class TestDeterminism:
         assert [f.as_dict() for f in a.features] == [f.as_dict() for f in b.features]
         assert a.claims == b.claims
         assert a.outcomes == b.outcomes
-        assert truth_json(a) == truth_json(b)
+        assert a.truth() == b.truth()
 
     def test_different_seed_differs(self):
         a = generate_population(small_config())
@@ -104,7 +103,7 @@ class TestPlantedTruth:
 
     def test_truth_payload(self):
         res = generate_population(small_config())
-        truth = json.loads(truth_json(res))
+        truth = json.loads(json.dumps(res.truth()))
         assert truth["seed"] == 42 and truth["n_drivers"] == 60
         assert set(truth["planted_betas"]) == {"weak", "medium", "strong"}
         assert set(truth["positive_counts"]) == {"any", "weak", "medium", "strong"}
