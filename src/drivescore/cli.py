@@ -31,7 +31,7 @@ from .features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES,
                        MILEAGE_FEATURES, MODEL_FEATURE_NAMES, SPEED_FEATURES,
                        WINDOW_KINDS, compute_feature_table, feature_to_row,
                        load_holiday_calendar, read_feature_table)
-from .fileio import (atomic_write_text, provenance_line, read_csv_rows,
+from .fileio import (atomic_write_text, provenance_line, read_csv_records,
                      render_csv, sha256_digest)
 from .glm import (CollinearityError, DesignMatrix, SeparationError,
                   SingleClassError, backward_eliminate, compute_premium,
@@ -151,8 +151,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_claims(path: Path):
-    _, rows = read_csv_rows(path)
-    return [claim_from_row(r) for r in rows]
+    return read_csv_records(path, CLAIMS_CSV_COLUMNS, claim_from_row)
 
 
 # ---------------------------------------------------------------- commands
@@ -213,10 +212,8 @@ def cmd_features(ns) -> int:
         raise ConfigError(f"window must be one of {WINDOW_KINDS}, got {window!r}")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
     calendar = _calendar(ns)
-    _, hourly_rows = read_csv_rows(hourly_path)
-    _, trip_rows = read_csv_rows(trips_path)
-    hourly = [hourly_from_row(r) for r in hourly_rows]
-    trips = [trip_from_row(r) for r in trip_rows]
+    hourly = read_csv_records(hourly_path, HOURLY_CSV_COLUMNS, hourly_from_row)
+    trips = read_csv_records(trips_path, TRIP_CSV_COLUMNS, trip_from_row)
     table = compute_feature_table(hourly, trips, window, calendar, tz)
     prov = provenance_line(None, {"hourly": sha256_digest(hourly_path),
                                   "trips": sha256_digest(trips_path)})
@@ -360,11 +357,9 @@ def cmd_premium(ns) -> int:
         raise ConfigError("predicted loss required (--loss or config key 'loss')")
     admin = _opt(ns, "admin", float, 0.0)
     margin = _opt(ns, "margin", float, 0.0)
-    _, rows = read_csv_rows(scores_path)
-    out_rows = []
-    for r in rows:
-        p = float(r["probability"])
-        out_rows.append([r["device"], p, compute_premium(p, loss, admin, margin)])
+    scores = read_csv_records(scores_path, ("device", "probability"),
+                              lambda r: (r["device"], float(r["probability"])))
+    out_rows = [[dev, p, compute_premium(p, loss, admin, margin)] for dev, p in scores]
     prov = provenance_line(None, {"scores": sha256_digest(scores_path)})
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     atomic_write_text(out_dir / "premiums.csv",

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fileio import read_csv_rows
+from .bands import ACCEL_BAND_NAMES
+from .fileio import read_csv_records
 from .trips import HourlyRecord, Trip
 
 # Local-clock slices, half-open hour ranges.
@@ -34,7 +35,7 @@ MILEAGE_FEATURES = ("mileage", "trips_day", "below_10_pr", "below_30_pr",
 SPEED_FEATURES = ("avg_sp", "max_sp", "max_ej_sp", "max_mj_sp", "max_n_sp",
                   "m_pr_below_20", "m_pr_below_60", "m_pr_over_100",
                   "m_pr_over_130")
-ACCEL_FEATURES = ("a1", "a2", "a3", "d1", "d2", "d3", "s1", "s2", "s3")
+ACCEL_FEATURES = ACCEL_BAND_NAMES
 SPEEDING_FEATURES = ("sp1", "sp2", "sp3")
 
 FEATURE_NAMES = MILEAGE_FEATURES + SPEED_FEATURES + ACCEL_FEATURES + SPEEDING_FEATURES
@@ -294,27 +295,23 @@ class FeatureTable:
         return np.ascontiguousarray(self.values[:, [FEATURE_NAMES.index(n) for n in names]])
 
 
+def _feature_row(row: dict[str, str]) -> tuple:
+    kind = row["window_kind"]
+    if kind not in WINDOW_KINDS:
+        raise ValueError(f"unknown window kind: {kind!r}")
+    return (row["device"], kind, datetime.fromisoformat(row["window_start"]),
+            tuple(f for f in row["quality_flags"].split(";") if f),
+            [float(row[name]) for name in FEATURE_NAMES])
+
+
 def read_feature_table(path) -> FeatureTable:
     """Read a features CSV into a FeatureTable.
 
-    Missing columns, an unknown window kind, an unparseable window start or a
-    non-numeric feature cell raise ValueError naming the file and data row.
+    Missing columns, a short row, an unknown window kind, an unparseable
+    window start or a non-numeric feature cell raise ValueError naming the
+    file and data row.
     """
-    header, rows = read_csv_rows(path)
-    missing = [c for c in FEATURE_CSV_COLUMNS if c not in header]
-    if missing:
-        raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
-    values = np.empty((len(rows), len(FEATURE_NAMES)))
-    kinds, starts, flags = [], [], []
-    for i, row in enumerate(rows):
-        try:
-            if row["window_kind"] not in WINDOW_KINDS:
-                raise ValueError(f"unknown window kind: {row['window_kind']!r}")
-            kinds.append(row["window_kind"])
-            starts.append(datetime.fromisoformat(row["window_start"]))
-            flags.append(tuple(f for f in row["quality_flags"].split(";") if f))
-            values[i] = [float(row[name]) for name in FEATURE_NAMES]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: data row {i + 1}: {exc}") from None
-    return FeatureTable(tuple(r["device"] for r in rows), tuple(kinds), tuple(starts),
-                        tuple(flags), values)
+    rows = read_csv_records(path, FEATURE_CSV_COLUMNS, _feature_row)
+    devices, kinds, starts, flags, values = zip(*rows) if rows else ((),) * 5
+    return FeatureTable(devices, kinds, starts, flags,
+                        np.array(values, dtype=float).reshape(len(rows), len(FEATURE_NAMES)))

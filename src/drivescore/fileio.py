@@ -7,11 +7,13 @@ import io
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
 
 PROVENANCE_PREFIX = "# drivescore"
+
+T = TypeVar("T")
 
 
 def sha256_digest(path: str | Path) -> str:
@@ -69,11 +71,38 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]],
     return buf.getvalue()
 
 
+def _dict_reader(f) -> csv.DictReader:
+    """Rows of an open CSV as dicts, skipping provenance/comment lines."""
+    return csv.DictReader(ln for ln in f if not ln.startswith("#"))
+
+
 def read_csv_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
     """Read a CSV, skipping leading provenance/comment lines. Returns (header, dict rows)."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        return [], []
-    return list(reader.fieldnames), list(reader)
+        reader = _dict_reader(f)
+        rows = list(reader)
+    return list(reader.fieldnames or []), rows
+
+
+def read_csv_records(path: str | Path, columns: Sequence[str],
+                     parse_row: Callable[[dict[str, str]], T]) -> list[T]:
+    """Parse every data row of a CSV that must carry ``columns``, one row at a time.
+
+    A missing column, a short row, or a row that ``parse_row`` rejects with
+    TypeError or ValueError raises ValueError naming the file and data row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = _dict_reader(f)
+        header = reader.fieldnames or []
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+        out = []
+        for i, row in enumerate(reader, start=1):
+            try:
+                if None in row.values():  # csv.DictReader's filler for absent cells
+                    raise ValueError(f"short row: fewer than {len(header)} cells")
+                out.append(parse_row(row))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: data row {i}: {exc}") from None
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 EVENT_KINDS = frozenset({"ignition_on", "ignition_off", "position", "speed", "acceleration"})
 AXES = frozenset({"longitudinal", "lateral"})
@@ -184,10 +184,6 @@ def event_from_obj(obj: dict) -> EventPackage:
     return EventPackage(device, ts, kind, lat, lon, speed, axis, accel)
 
 
-def _iter_lines(stream: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) -> Iterator[str | bytes]:
-    yield from stream
-
-
 def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes]) -> ParseResult:
     """Parse a JSONL event stream into one DeviceLog per device.
 
@@ -201,7 +197,7 @@ def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes
     seen: set[tuple] = set()
     skipped: list[SkippedLine] = []
     n_lines = 0
-    for n_lines, raw in enumerate(_iter_lines(stream), start=1):
+    for n_lines, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
                 line = raw.decode("utf-8")

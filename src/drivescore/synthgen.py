@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .bands import ACCEL_BAND_NAMES
 from .features import FeatureVector, Window
 from .ingest import DeviceLog, EventPackage
 from .trips import EARTH_RADIUS_KM
@@ -44,7 +45,6 @@ RATIO_RANGES = {"weak": (0.005, 0.045), "medium": (0.055, 0.195), "strong": (0.2
 NONCULPRIT_CLAIM_RATE = 0.03
 ZERO_LOSS_CLAIM_RATE = 0.02
 
-BAND_ORDER = ("a1", "a2", "a3", "d1", "d2", "d3", "s1", "s2", "s3")
 G_RANGES = {"a1": (0.30, 0.40), "a2": (0.40, 0.50), "a3": (0.50, 0.65),
             "d1": (0.20, 0.30), "d2": (0.30, 0.40), "d3": (0.40, 0.55),
             "s1": (0.30, 0.40), "s2": (0.40, 0.60), "s3": (0.60, 0.75)}
@@ -104,7 +104,7 @@ class DriverProfile:
     peak_mj_sp: float
     peak_ej_sp: float
     peak_n_sp: float
-    accel_rates: tuple[float, ...]  # events per 100 km, BAND_ORDER
+    accel_rates: tuple[float, ...]  # events per 100 km, ACCEL_BAND_NAMES
     long_trip_prob: float = 0.0     # chance a trip is a long haul instead
     long_trip_hi: float = 0.0       # upper length of the long-haul range, km
 
@@ -501,7 +501,7 @@ def generate_event_log(profile: DriverProfile, weeks: int,
                 lon += seg_km / KM_PER_DEGREE
             trip_end = t
             duration_s = (trip_end - trip_start).total_seconds()
-            for band, rate in zip(BAND_ORDER, profile.accel_rates):
+            for band, rate in zip(ACCEL_BAND_NAMES, profile.accel_rates):
                 for _ in range(rng.poisson(rate * length / 100.0)):
                     g_lo, g_hi = G_RANGES[band]
                     g = float(rng.uniform(g_lo, min(g_hi, g_lo + 0.2)))

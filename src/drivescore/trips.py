@@ -9,11 +9,15 @@ the trips themselves.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
-from .bands import SPEED_BAND_NAMES, classify_accel_event, speed_band
+from .bands import (ACCEL_BAND_NAMES, SPEED_BAND_NAMES, classify_accel_event,
+                    speed_band)
 from .ingest import DeviceLog, EventPackage
 
 EARTH_RADIUS_KM = 6371.0088
@@ -24,10 +28,8 @@ MIN_TRIP_MILEAGE_KM = 0.1
 
 MOVEMENT_KINDS = ("position", "speed")
 
-HOURLY_CSV_COLUMNS = ("device", "hour_start", "mileage_km", "mean_speed_kph",
-                      "a1", "a2", "a3", "d1", "d2", "d3", "s1", "s2", "s3",
-                      "m_lt20", "m_20_60", "m_60_100", "m_100_130", "m_gt130",
-                      "max_kph")
+HOURLY_CSV_COLUMNS = (("device", "hour_start", "mileage_km", "mean_speed_kph")
+                      + ACCEL_BAND_NAMES + SPEED_BAND_NAMES + ("max_kph",))
 TRIP_CSV_COLUMNS = ("device", "start", "end", "mileage_km", "duration_s", "mean_speed_kph")
 
 
@@ -95,32 +97,20 @@ class HourlyRecord:
                 self.d3_n, self.s1_n, self.s2_n, self.s3_n)
 
 
-def _movement_events(log: DeviceLog) -> list[EventPackage]:
-    return [e for e in log.events if e.kind in MOVEMENT_KINDS]
+def _fixes(log: DeviceLog) -> list[EventPackage]:
+    """The log's movement events with coordinates, in time order."""
+    return [e for e in log.events if e.kind in MOVEMENT_KINDS and e.has_coords]
 
 
-def _coord_events(events: Iterable[EventPackage]) -> list[EventPackage]:
-    return [e for e in events if e.has_coords]
-
-
-def _trip_mileage(events: Sequence[EventPackage]) -> float:
-    pts = _coord_events(events)
-    total = 0.0
-    for prev, cur in zip(pts, pts[1:]):
-        total += haversine_km(prev.latitude, prev.longitude, cur.latitude, cur.longitude)
-    return total
-
-
-def _make_trip(device_id: str, start: datetime, end: datetime,
-               events: Sequence[EventPackage]) -> Trip | None:
-    duration = (end - start).total_seconds()
-    if duration < MIN_TRIP_DURATION_S:
-        return None
-    mileage = _trip_mileage(events)
-    if mileage < MIN_TRIP_MILEAGE_KM:
-        return None
-    return Trip(device_id, start, end, mileage, duration,
-                mileage / (duration / 3600.0))
+def _trip_legs(fixes: Sequence[EventPackage], start: datetime,
+               end: datetime) -> list[tuple[datetime, datetime, float]]:
+    """GPS legs (t0, t1, km) between consecutive fixes timed within [start, end]."""
+    key = attrgetter("timestamp")
+    lo = bisect_left(fixes, start, key=key)
+    pts = fixes[lo:bisect_right(fixes, end, lo, key=key)]
+    return [(a.timestamp, b.timestamp,
+             haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
+            for a, b in zip(pts, pts[1:])]
 
 
 def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> list[Trip]:
@@ -130,49 +120,53 @@ def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD
     the next ignition_off closes (an unclosed trip ends at the last movement
     event seen before the next ignition_on or the end of the log).  Without
     ignition events, a silence longer than ``gap_threshold_s`` between
-    consecutive movement events starts a new trip.  Trips shorter than 60 s
-    or under 0.1 km are discarded as jitter.
+    consecutive movement events starts a new trip.  A trip's GPS path is
+    every movement event with coordinates timed within [start, end], ties
+    with the trip's ignition events included; ``aggregate_hourly`` rolls up
+    the same legs, so hourly mileage sums to trip mileage.  Trips shorter
+    than 60 s or under 0.1 km are discarded as jitter.
     """
     if gap_threshold_s <= 0:
         raise ValueError("gap_threshold_s must be positive")
-    has_ignition = any(e.kind in ("ignition_on", "ignition_off") for e in log.events)
-    trips: list[Trip] = []
-    if has_ignition:
-        open_ts: datetime | None = None
-        pending: list[EventPackage] = []
+    spans: list[tuple[datetime, datetime]] = []
+    if any(e.kind in ("ignition_on", "ignition_off") for e in log.events):
+        open_ts = last_move = None
         for ev in log.events:
             if ev.kind == "ignition_on":
-                if open_ts is not None and pending:
-                    t = _make_trip(log.device_id, open_ts, pending[-1].timestamp, pending)
-                    if t:
-                        trips.append(t)
-                open_ts, pending = ev.timestamp, []
+                if open_ts is not None and last_move is not None:
+                    spans.append((open_ts, last_move))
+                open_ts, last_move = ev.timestamp, None
             elif ev.kind == "ignition_off":
                 if open_ts is not None:
-                    t = _make_trip(log.device_id, open_ts, ev.timestamp, pending)
-                    if t:
-                        trips.append(t)
-                open_ts, pending = None, []
+                    spans.append((open_ts, ev.timestamp))
+                open_ts = None
             elif open_ts is not None and ev.kind in MOVEMENT_KINDS:
-                pending.append(ev)
-        if open_ts is not None and pending:
-            t = _make_trip(log.device_id, open_ts, pending[-1].timestamp, pending)
-            if t:
-                trips.append(t)
-        return trips
+                last_move = ev.timestamp
+        if open_ts is not None and last_move is not None:
+            spans.append((open_ts, last_move))
+    else:
+        first = last = None
+        for ev in log.events:
+            if ev.kind not in MOVEMENT_KINDS:
+                continue
+            if last is None or (ev.timestamp - last).total_seconds() > gap_threshold_s:
+                if last is not None:
+                    spans.append((first, last))
+                first = ev.timestamp
+            last = ev.timestamp
+        if last is not None:
+            spans.append((first, last))
 
-    cluster: list[EventPackage] = []
-    for ev in _movement_events(log):
-        if cluster and (ev.timestamp - cluster[-1].timestamp).total_seconds() > gap_threshold_s:
-            t = _make_trip(log.device_id, cluster[0].timestamp, cluster[-1].timestamp, cluster)
-            if t:
-                trips.append(t)
-            cluster = []
-        cluster.append(ev)
-    if cluster:
-        t = _make_trip(log.device_id, cluster[0].timestamp, cluster[-1].timestamp, cluster)
-        if t:
-            trips.append(t)
+    fixes = _fixes(log)
+    trips: list[Trip] = []
+    for start, end in spans:
+        duration = (end - start).total_seconds()
+        if duration < MIN_TRIP_DURATION_S:
+            continue
+        mileage = sum(km for _, _, km in _trip_legs(fixes, start, end))
+        if mileage >= MIN_TRIP_MILEAGE_KM:
+            trips.append(Trip(log.device_id, start, end, mileage, duration,
+                              mileage / (duration / 3600.0)))
     return trips
 
 
@@ -185,8 +179,7 @@ class _HourAccumulator:
 
     def __init__(self):
         self.band_km = dict.fromkeys(SPEED_BAND_NAMES, 0.0)
-        self.counts = {"a1": 0, "a2": 0, "a3": 0, "d1": 0, "d2": 0,
-                       "d3": 0, "s1": 0, "s2": 0, "s3": 0}
+        self.counts = dict.fromkeys(ACCEL_BAND_NAMES, 0)
         self.speed_weight = 0.0
         self.speed_wsum = 0.0
         self.max_speed = 0.0
@@ -218,45 +211,36 @@ def aggregate_hourly(log: DeviceLog, trips: Sequence[Trip],
                      tz: tzinfo = timezone.utc) -> list[HourlyRecord]:
     """Roll a device log up into one record per active local clock hour.
 
-    Mileage comes from GPS legs inside trips; a leg spanning an hour boundary
-    is split in proportion to time.  Each leg's mileage lands in the speed
+    Mileage comes from the GPS legs ``segment_trips`` sums for each trip
+    (consecutive fixes timed within [start, end]), so hourly mileage sums to
+    trip mileage; a leg spanning an hour boundary is split in proportion to
+    time.  Each leg's mileage lands in the speed
     band of the leg's average speed.  The hourly mean speed is the
     mileage-weighted mean of leg speeds, the hourly max is taken over both
     leg speeds and speed-package readings, and every in-band acceleration
     event in the log is counted in its hour whether or not it falls inside a
     trip.  Hours with no activity produce no record.
     """
-    hours: dict[datetime, _HourAccumulator] = {}
-
-    def acc(hour: datetime) -> _HourAccumulator:
-        a = hours.get(hour)
-        if a is None:
-            a = hours[hour] = _HourAccumulator()
-        return a
-
+    hours: defaultdict[datetime, _HourAccumulator] = defaultdict(_HourAccumulator)
+    fixes = _fixes(log)
     for trip in trips:
-        pts = [e for e in log.events
-               if e.kind in MOVEMENT_KINDS and e.has_coords
-               and trip.start <= e.timestamp <= trip.end]
-        for prev, cur in zip(pts, pts[1:]):
-            km = haversine_km(prev.latitude, prev.longitude, cur.latitude, cur.longitude)
+        for t0, t1, km in _trip_legs(fixes, trip.start, trip.end):
             if km == 0.0:
                 continue
-            dt = (cur.timestamp - prev.timestamp).total_seconds()
+            dt = (t1 - t0).total_seconds()
             speed = km / (dt / 3600.0) if dt > 0 else 0.0
-            for hour, frac in _split_leg_hours(prev.timestamp, cur.timestamp, tz):
-                acc(hour).add_leg_portion(km * frac, speed)
+            for hour, frac in _split_leg_hours(t0, t1, tz):
+                hours[hour].add_leg_portion(km * frac, speed)
 
     for ev in log.events:
-        hour = _local_hour_start(ev.timestamp, tz)
         if ev.kind == "speed":
-            a = hours.get(hour)
+            a = hours.get(_local_hour_start(ev.timestamp, tz))
             if a is not None:
                 a.max_speed = max(a.max_speed, ev.speed_kph)
         elif ev.kind == "acceleration":
             band = classify_accel_event(ev.axis, ev.accel_g)
             if band is not None:
-                acc(hour).counts[band] += 1
+                hours[_local_hour_start(ev.timestamp, tz)].counts[band] += 1
 
     records = []
     for hour in sorted(hours):
@@ -266,10 +250,7 @@ def aggregate_hourly(log: DeviceLog, trips: Sequence[Trip],
         mean_speed = a.speed_wsum / a.speed_weight if a.speed_weight > 0 else 0.0
         records.append(HourlyRecord(
             log.device_id, hour, mileage, mean_speed, a.max_speed,
-            a.counts["a1"], a.counts["a2"], a.counts["a3"],
-            a.counts["d1"], a.counts["d2"], a.counts["d3"],
-            a.counts["s1"], a.counts["s2"], a.counts["s3"],
-            *bands))
+            *(a.counts[name] for name in ACCEL_BAND_NAMES), *bands))
     return records
 
 
@@ -284,8 +265,8 @@ def hourly_from_row(row: dict) -> HourlyRecord:
         row["device"], datetime.fromisoformat(row["hour_start"]),
         float(row["mileage_km"]), float(row["mean_speed_kph"]),
         float(row["max_kph"]),
-        *(int(row[k]) for k in ("a1", "a2", "a3", "d1", "d2", "d3", "s1", "s2", "s3")),
-        *(float(row[k]) for k in ("m_lt20", "m_20_60", "m_60_100", "m_100_130", "m_gt130")))
+        *(int(row[k]) for k in ACCEL_BAND_NAMES),
+        *(float(row[k]) for k in SPEED_BAND_NAMES))
 
 
 def trip_to_row(trip: Trip) -> list:

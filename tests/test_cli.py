@@ -221,6 +221,36 @@ class TestFeatureInputErrors:
             [r["device"] for r in rows_of(feats)]
 
 
+def _short_row(src, dst, data_row=2):
+    """Copy of a CSV artifact with the last two cells of one data row cut off."""
+    lines = src.read_text().splitlines(keepends=True)
+    i = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + data_row
+    lines[i] = ",".join(lines[i].rstrip("\n").split(",")[:-2]) + "\n"
+    dst.write_text("".join(lines))
+    return dst
+
+
+class TestShortRows:
+    @pytest.mark.parametrize("name", ["hourly.csv", "trips.csv", "claims.csv", "scores.csv"])
+    def test_short_row_exits_1_naming_the_row(self, small_pop, tmp_path, capsys, name):
+        made = tmp_path / "made"
+        assert run_cli("aggregate", "--events", small_pop / "events.jsonl",
+                       "--out-dir", made) == 0
+        assert run_cli("score", "--model", "paper-reference",
+                       "--features", small_pop / "features.csv", "--out-dir", made) == 0
+        (made / "claims.csv").write_bytes((small_pop / "claims.csv").read_bytes())
+        bad = _short_row(made / name, tmp_path / name)
+        args = {"hourly.csv": ("features", "--hourly", bad, "--trips", made / "trips.csv"),
+                "trips.csv": ("features", "--hourly", made / "hourly.csv", "--trips", bad),
+                "claims.csv": ("label", "--claims", bad),
+                "scores.csv": ("premium", "--scores", bad, "--loss", 1000)}[name]
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", tmp_path / "out") == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {bad}: data row 2: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestErrorPaths:
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("parse", "--events", tmp_path / "nope.jsonl") == 2

@@ -1,16 +1,19 @@
 """Trip segmentation and hourly aggregation."""
 import math
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivescore.ingest import parse_event_log
+from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
                               HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS,
                               HourlyRecord, Trip, aggregate_hourly,
                               haversine_km, hourly_from_row, hourly_to_row,
                               segment_trips, trip_from_row, trip_to_row)
-from conftest import parse_objs
+from conftest import jsonl, parse_objs
 
 UTC = timezone.utc
 KM_PER_DEGREE = EARTH_RADIUS_KM * math.pi / 180.0
@@ -196,3 +199,61 @@ def test_hourly_mileage_conserves_trip_mileage(minutes, speed, start_minute):
     recs = aggregate_hourly(log, trips, UTC)
     assert sum(r.mileage_km for r in recs) == pytest.approx(
         sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def tie_logs(draw):
+    """Event dicts for 1-3 ignition trips whose GPS fixes share seconds with
+    the ignition events, in any order within a second; a trip may start in
+    the second the previous one ended."""
+    objs = []
+    end = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        on = end + draw(st.sampled_from([0, 0, 45, 900]))
+        end = on + draw(st.integers(min_value=60, max_value=900))
+        objs += [{"device": "d1", "ts": iso(T0 + timedelta(seconds=on)), "kind": "ignition_on"},
+                 {"device": "d1", "ts": iso(T0 + timedelta(seconds=end)), "kind": "ignition_off"}]
+        seconds = draw(st.lists(st.sampled_from([on, on, end, end, on - 1, end + 1])
+                                | st.integers(min_value=on, max_value=end), max_size=8))
+        for sec in seconds:
+            fix = {"device": "d1", "ts": iso(T0 + timedelta(seconds=sec)),
+                   "kind": draw(st.sampled_from(["position", "speed"])),
+                   "lat": draw(st.floats(min_value=-0.02, max_value=0.02)),
+                   "lon": draw(st.floats(min_value=0.0, max_value=0.05))}
+            if fix["kind"] == "speed":
+                fix["speed_kph"] = 50.0
+            objs.append(fix)
+    return draw(st.permutations(objs))
+
+
+@settings(deadline=None, max_examples=200)
+@given(objs=tie_logs())
+def test_trip_path_is_every_fix_within_its_span(objs):
+    log = parse_event_log(jsonl(objs).splitlines()).logs[0]
+    trips = segment_trips(log)
+    recs = aggregate_hourly(log, trips, UTC)
+    assert sum(r.mileage_km for r in recs) == pytest.approx(
+        sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
+    for trip in trips:
+        pts = [e for e in log.events if e.kind in ("position", "speed")
+               and e.has_coords and trip.start <= e.timestamp <= trip.end]
+        path = sum(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
+                   for a, b in zip(pts, pts[1:]))
+        assert trip.mileage_km == pytest.approx(path, rel=1e-12, abs=1e-12)
+
+
+def _best_seconds_per_event(weeks):
+    log = next(iter_event_logs(generate_population(
+        SynthConfig(n_drivers=2, weeks=weeks, seed=0)), 1))
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        aggregate_hourly(log, segment_trips(log))
+        best = min(best, time.perf_counter() - t0)
+    return best / len(log.events)
+
+
+def test_long_history_costs_no_more_per_event():
+    """Segmentation and roll-up stay linear in a device's history: a year of
+    one device costs about what a quarter does per event (2.5x for noise)."""
+    assert _best_seconds_per_event(52) <= 2.5 * _best_seconds_per_event(13)
