@@ -10,9 +10,11 @@ Keys irrelevant to the event kind are absent; unknown extra keys are tolerated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable
+from operator import attrgetter
+from typing import IO, Iterable, NamedTuple
 
 EVENT_KINDS = frozenset({"ignition_on", "ignition_off", "position", "speed", "acceleration"})
 AXES = frozenset({"longitudinal", "lateral"})
@@ -25,9 +27,12 @@ class EventValidationError(ValueError):
     """A single event record violates the schema or its invariants."""
 
 
-@dataclass(frozen=True)
-class EventPackage:
-    """One raw telematics record, sent on a triggering condition rather than a clock."""
+class EventPackage(NamedTuple):
+    """One raw telematics record, sent on a triggering condition rather than a clock.
+
+    Two events are duplicates exactly when they are equal, so an event is its
+    own duplicate-detection key.
+    """
 
     device_id: str
     timestamp: datetime  # tz-aware UTC, second precision
@@ -37,11 +42,6 @@ class EventPackage:
     speed_kph: float | None = None
     axis: str | None = None
     accel_g: float | None = None
-
-    def payload(self) -> tuple:
-        """Identity tuple used for duplicate detection."""
-        return (self.device_id, self.timestamp, self.kind, self.latitude,
-                self.longitude, self.speed_kph, self.axis, self.accel_g)
 
     @property
     def has_coords(self) -> bool:
@@ -59,7 +59,7 @@ class DeviceLog:
 
     @classmethod
     def from_events(cls, device_id: str, events: Iterable[EventPackage]) -> "DeviceLog":
-        evs = tuple(sorted(events, key=lambda e: e.timestamp))
+        evs = tuple(sorted(events, key=attrgetter("timestamp")))
         if not evs:
             raise ValueError("a DeviceLog needs at least one event")
         return cls(device_id, evs, evs[0].timestamp, evs[-1].timestamp)
@@ -105,6 +105,8 @@ def _parse_timestamp(raw: object) -> datetime:
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise EventValidationError(f"timestamp not parseable: {exc}") from None
+    if ts.tzinfo is timezone.utc and not ts.microsecond:
+        return ts
     if ts.tzinfo is None:
         raise EventValidationError("timestamp not parseable: missing timezone")
     # Second precision by contract.
@@ -115,7 +117,15 @@ def _number(obj: dict, key: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise EventValidationError(f"{key} is not a number")
-    return float(v)
+    # json.loads reads NaN, Infinity and 1e400 as floats, and an integer
+    # literal may lie beyond the float range.
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise EventValidationError(f"{key} is not a finite number")
+    return v
 
 
 def _coords(obj: dict, required: bool) -> tuple[float | None, float | None]:
@@ -194,7 +204,7 @@ def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes
     input order between equal timestamps).
     """
     events: dict[str, list[EventPackage]] = {}
-    seen: set[tuple] = set()
+    seen: set[EventPackage] = set()
     skipped: list[SkippedLine] = []
     n_lines = 0
     for n_lines, raw in enumerate(stream, start=1):
@@ -212,19 +222,18 @@ def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            skipped.append(SkippedLine(n_lines, f"invalid JSON: {exc.msg}"))
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+            skipped.append(SkippedLine(n_lines, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         try:
             ev = event_from_obj(obj)
         except EventValidationError as exc:
             skipped.append(SkippedLine(n_lines, str(exc)))
             continue
-        key = ev.payload()
-        if key in seen:
+        if ev in seen:
             skipped.append(SkippedLine(n_lines, "duplicate event"))
             continue
-        seen.add(key)
+        seen.add(ev)
         events.setdefault(ev.device_id, []).append(ev)
 
     logs = [DeviceLog.from_events(dev, evs) for dev, evs in events.items()]
@@ -236,27 +245,30 @@ def parse_event_file(path) -> ParseResult:
         return parse_event_log(f)
 
 
-def event_to_obj(ev: EventPackage) -> dict:
-    obj: dict = {"device": ev.device_id,
-                 "ts": ev.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                 "kind": ev.kind}
-    if ev.latitude is not None:
-        obj["lat"] = ev.latitude
-        obj["lon"] = ev.longitude
-    if ev.speed_kph is not None:
-        obj["speed_kph"] = ev.speed_kph
-    if ev.axis is not None:
-        obj["axis"] = ev.axis
-        obj["accel_g"] = ev.accel_g
-    return obj
-
-
 def serialize_logs(logs: Iterable[DeviceLog]) -> str:
-    """JSONL text for a set of logs; parse_event_log inverts this exactly."""
+    """JSONL text for a set of logs; parse_event_log inverts this exactly.
+
+    Each line is the compact ``json.dumps`` of the event's object, formatted
+    directly: the device id is JSON-quoted once per device, floats are
+    written by ``repr`` (as ``json.dumps`` writes them) and the year is
+    zero-padded to four digits.
+    """
+    quoted: dict[str, str] = {}
     lines = []
     for log in logs:
-        for ev in log.events:
-            lines.append(json.dumps(event_to_obj(ev), separators=(",", ":")))
+        for dev, ts, kind, lat, lon, speed, axis, accel in log.events:
+            q = quoted.get(dev)
+            if q is None:
+                q = quoted[dev] = json.dumps(dev)
+            line = '{"device":%s,"ts":"%04d-%02d-%02dT%02d:%02d:%02dZ","kind":"%s"' % (
+                q, ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, kind)
+            if lat is not None:
+                line += ',"lat":%r,"lon":%r' % (lat, lon)
+            if speed is not None:
+                line += ',"speed_kph":%r' % (speed,)
+            if axis is not None:
+                line += ',"axis":"%s","accel_g":%r' % (axis, accel)
+            lines.append(line + "}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -74,6 +74,24 @@ class TestEventPipeline:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["events.jsonl", "hourly.csv", "trips.csv"]
 
+    def test_aggregate_skips_non_finite_numbers(self, small_pop, tmp_path, capsys):
+        lines = (small_pop / "events.jsonl").read_text().splitlines(keepends=True)
+        bad = '{"device":"d00000","ts":"2021-01-04T10:00:00Z","kind":"speed","speed_kph":Infinity}\n'
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(lines[:3]) + bad + "".join(lines[3:]))
+        assert run_cli("aggregate", "--events", events, "--out-dir", tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert "(1 lines skipped)" in out
+        assert err == "line 4: speed_kph is not a finite number\n"
+
+    def test_parse_rewrites_its_own_output_unchanged(self, small_pop, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("parse", "--events", small_pop / "events.jsonl",
+                       "--out-dir", first) == 0
+        assert run_cli("parse", "--events", first / "parsed.jsonl",
+                       "--out-dir", second) == 0
+        assert (second / "parsed.jsonl").read_bytes() == (first / "parsed.jsonl").read_bytes()
+
     def test_weekly_window_multiplies_rows(self, small_pop, tmp_path):
         assert run_cli("aggregate", "--events", small_pop / "events.jsonl",
                        "--out-dir", tmp_path) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from drivescore.ingest import (AXES, MAX_ABS_ACCEL_G, SUSPECT_SPEED_KPH,
                                DeviceLog, EventPackage, EventValidationError,
-                               event_from_obj, event_to_obj, parse_event_log,
+                               event_from_obj, parse_event_log,
                                serialize_logs, validate_log)
 from conftest import jsonl, parse_objs
 
@@ -45,6 +45,12 @@ class TestEventFromObj:
         ev("acceleration", axis="lateral"),      # no magnitude
         ev("warp_drive"),
         ev("position", ts="yesterday", lat=0.0, lon=0.0),
+        ev("position", lat=0.0, lon=10 ** 400),  # an integer beyond the float range
+        *[bad for c in ("NaN", "Infinity", "-Infinity") for bad in (
+            ev("position", lat=json.loads(c), lon=0.0),
+            ev("position", lat=0.0, lon=json.loads(c)),
+            ev("speed", speed_kph=json.loads(c)),
+            ev("acceleration", axis="lateral", accel_g=json.loads(c)))],
     ])
     def test_rejects(self, bad):
         with pytest.raises(EventValidationError):
@@ -98,37 +104,88 @@ class TestParseEventLog:
         assert not second.skipped
         assert second.logs[0].events == first.logs[0].events
 
+    def test_year_below_1000_round_trips(self):
+        first = parse_objs([pos("0999-05-03T10:00:00Z", 1.0)])
+        text = serialize_logs(first.logs)
+        assert '"ts":"0999-05-03T10:00:00Z"' in text
+        assert parse_event_log(text.splitlines()).logs == first.logs
 
-_ts = st.datetimes(min_value=datetime(2019, 1, 1),
-                   max_value=datetime(2022, 12, 31)).map(
+    def test_non_finite_numbers_are_skipped(self):
+        lines = ['{"device":"d1","ts":"2021-05-03T10:00:00Z","kind":"speed","speed_kph":NaN}',
+                 '{"device":"d1","ts":"2021-05-03T10:00:00Z","kind":"position","lat":0,"lon":1e400}',
+                 '{"device":"d1","ts":"2021-05-03T10:00:00Z","kind":"position","lat":0,"lon":%s}'
+                 % ("1" * 5000)]
+        result = parse_event_log(lines)
+        assert result.n_events == 0
+        assert [s.reason for s in result.skipped][:2] == [
+            "speed_kph is not a finite number", "lon is not a finite number"]
+        assert result.skipped[2].reason.startswith("invalid JSON: ")
+
+
+_ts = st.datetimes(min_value=datetime(1, 1, 1),
+                   max_value=datetime(9999, 12, 31, 23, 59, 59)).map(
     lambda d: d.replace(microsecond=0, tzinfo=UTC))
 _lat = st.floats(min_value=-90, max_value=90, allow_nan=False)
 _lon = st.floats(min_value=-180, max_value=180, allow_nan=False)
+_device = st.text(min_size=1, max_size=8)
 
 
 @st.composite
-def event_packages(draw):
+def event_packages(draw, device=_device, ts=_ts, lat=_lat, lon=_lon,
+                   speed=st.floats(min_value=0, max_value=400, allow_nan=False),
+                   accel=st.floats(min_value=-24, max_value=24, allow_nan=False)):
     kind = draw(st.sampled_from(("ignition_on", "ignition_off", "position",
                                  "speed", "acceleration")))
-    device = draw(st.text(alphabet="abc123", min_size=1, max_size=6))
-    ts = draw(_ts)
+    device, ts = draw(device), draw(ts)
     if kind == "position":
-        return EventPackage(device, ts, kind, latitude=draw(_lat),
-                            longitude=draw(_lon))
+        return EventPackage(device, ts, kind, latitude=draw(lat), longitude=draw(lon))
     if kind == "speed":
-        return EventPackage(device, ts, kind,
-                            speed_kph=draw(st.floats(min_value=0, max_value=400,
-                                                     allow_nan=False)))
+        return EventPackage(device, ts, kind, speed_kph=draw(speed))
     if kind == "acceleration":
         return EventPackage(device, ts, kind, axis=draw(st.sampled_from(sorted(AXES))),
-                            accel_g=draw(st.floats(min_value=-24, max_value=24,
-                                                   allow_nan=False)))
+                            accel_g=draw(accel))
     return EventPackage(device, ts, kind)
+
+
+def _log_of(pkg):
+    return DeviceLog.from_events(pkg.device_id, [pkg])
 
 
 @given(event_packages())
 def test_obj_round_trip_is_identity(pkg):
-    assert event_from_obj(json.loads(json.dumps(event_to_obj(pkg)))) == pkg
+    line = serialize_logs([_log_of(pkg)])
+    assert parse_event_log([line]).logs == [_log_of(pkg)]
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(event_packages(device=st.text(min_size=1),
+                      ts=_ts.filter(lambda d: d.year >= 1000),
+                      lat=_any_float, lon=_any_float, speed=_any_float, accel=_any_float))
+def test_line_is_compact_json_dumps(pkg):
+    obj = {"device": pkg.device_id,
+           "ts": pkg.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+           "kind": pkg.kind}
+    if pkg.latitude is not None:
+        obj.update(lat=pkg.latitude, lon=pkg.longitude)
+    if pkg.speed_kph is not None:
+        obj["speed_kph"] = pkg.speed_kph
+    if pkg.axis is not None:
+        obj.update(axis=pkg.axis, accel_g=pkg.accel_g)
+    assert serialize_logs([_log_of(pkg)]) == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+@given(st.lists(event_packages(device=st.sampled_from(["a", "b\"", "c\u00e9"])),
+                min_size=1, max_size=12))
+def test_serialize_then_parse_returns_the_logs(pkgs):
+    by_device = {}
+    for pkg in dict.fromkeys(pkgs):  # parse drops exact duplicates
+        by_device.setdefault(pkg.device_id, []).append(pkg)
+    logs = [DeviceLog.from_events(dev, evs) for dev, evs in by_device.items()]
+    result = parse_event_log(serialize_logs(logs).encode("utf-8").splitlines())
+    assert not result.skipped
+    assert result.logs == logs
 
 
 class TestValidateLog:
