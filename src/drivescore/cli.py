@@ -31,13 +31,13 @@ from .features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES,
                        MILEAGE_FEATURES, MODEL_FEATURE_NAMES, SPEED_FEATURES,
                        WINDOW_KINDS, compute_feature_table, feature_to_row,
                        load_holiday_calendar, read_feature_table)
-from .fileio import (atomic_write_text, provenance_line, read_csv_records,
-                     render_csv, sha256_digest)
+from .fileio import (atomic_write_chunks, atomic_write_text, provenance_line,
+                     read_csv_records, render_csv, sha256_digest)
 from .glm import (CollinearityError, DesignMatrix, SeparationError,
                   SingleClassError, backward_eliminate, compute_premium,
                   load_reference_models, model_from_dict, model_to_dict,
                   predict_proba)
-from .ingest import (EventValidationError, parse_event_file, serialize_logs,
+from .ingest import (EventValidationError, iter_log_lines, parse_event_file,
                      validate_log)
 from .labeling import (CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
                        ClaimValidationError, build_targets, claim_from_row,
@@ -159,12 +159,11 @@ def _read_claims(path: Path):
 def cmd_parse(ns) -> int:
     events_path = _require(ns.events, "events file")
     result = parse_event_file(events_path)
-    reports = {log.device_id: validate_log(log) for log in
-               sorted(result.logs, key=lambda l: l.device_id)}
+    logs = sorted(result.logs, key=lambda l: l.device_id)
+    reports = {log.device_id: validate_log(log) for log in logs}
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     digest = sha256_digest(events_path)
-    atomic_write_text(out_dir / "parsed.jsonl",
-                      serialize_logs(sorted(result.logs, key=lambda l: l.device_id)))
+    atomic_write_chunks(out_dir / "parsed.jsonl", iter_log_lines(logs))
     _write_json(out_dir / "parse_report.json", {
         "n_lines": result.n_lines,
         "n_events": result.n_events,
@@ -189,6 +188,8 @@ def cmd_aggregate(ns) -> int:
     hourly_rows, trip_rows = [], []
     for log in sorted(result.logs, key=lambda l: l.device_id):
         trips = segment_trips(log, gap)
+        if not trips:
+            print(f"device {log.device_id}: no trip kept", file=sys.stderr)
         for t in trips:
             trip_rows.append(trip_to_row(t))
         for rec in aggregate_hourly(log, trips, tz):
@@ -442,10 +443,8 @@ def cmd_synth(ns) -> int:
     truth["provenance"] = _provenance_obj(seed, {})
     _write_json(out_dir / "truth.json", truth)
     if ns.logs:
-        limit = ns.logs_limit
-        text_parts = [serialize_logs([log])
-                      for log in iter_event_logs(result, limit)]
-        atomic_write_text(out_dir / "events.jsonl", "".join(text_parts))
+        atomic_write_chunks(out_dir / "events.jsonl",
+                            iter_log_lines(iter_event_logs(result, ns.logs_limit)))
     pos = {t: sum(v) for t, v in result.outcomes.items()}
     print(f"generated {n} drivers, {len(result.claims)} claims "
           f"(any={pos['any']}, weak={pos['weak']}, medium={pos['medium']}, "

@@ -36,12 +36,21 @@ def provenance_line(seed: int | None = None, inputs: dict[str, str] | None = Non
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via temp file + rename so readers never observe a partial file."""
+    atomic_write_chunks(path, (text,))
+
+
+def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks in order, as they come, via temp file + rename.
+
+    Readers never observe a partial file: if ``chunks`` raises midway, the
+    temp file is removed and ``path`` keeps whatever it held before.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 EVENT_KINDS = frozenset({"ignition_on", "ignition_off", "position", "speed", "acceleration"})
 AXES = frozenset({"longitudinal", "lateral"})
+# Each valid value maps to this module's own string, so events share one object per value.
+_KINDS = {k: k for k in EVENT_KINDS}
+_AXES = {a: a for a in AXES}
 
 MAX_ABS_ACCEL_G = 24.0     # accelerometer measurement ceiling
 SUSPECT_SPEED_KPH = 300.0  # data-quality flag threshold; such events are kept
@@ -144,19 +148,30 @@ def _coords(obj: dict, required: bool) -> tuple[float | None, float | None]:
     return lat, lon
 
 
+def _canonical(table: dict[str, str], value: object, what: str) -> str:
+    """The table's own string equal to ``value``; unhashable values are invalid too."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):
+        raise EventValidationError(f"{what}: {value!r}") from None
+
+
 def event_from_obj(obj: dict) -> EventPackage:
-    """Build a validated EventPackage from a decoded JSON object."""
+    """Build a validated EventPackage from a decoded JSON object.
+
+    The device id is interned and kind and axis are the module's constants,
+    so the events of a log share those strings rather than each holding a copy.
+    """
     if not isinstance(obj, dict):
         raise EventValidationError("record is not an object")
     device = obj.get("device")
     if not isinstance(device, str) or not device:
         raise EventValidationError("missing or invalid device id")
+    device = sys.intern(str(device))  # str() passes a str through and unwraps a subclass
     if "ts" not in obj:
         raise EventValidationError("missing timestamp")
     ts = _parse_timestamp(obj["ts"])
-    kind = obj.get("kind")
-    if kind not in EVENT_KINDS:
-        raise EventValidationError(f"unknown event kind: {kind!r}")
+    kind = _canonical(_KINDS, obj.get("kind"), "unknown event kind")
 
     lat = lon = speed = accel = None
     axis = None
@@ -171,9 +186,7 @@ def event_from_obj(obj: dict) -> EventPackage:
             raise EventValidationError("speed_kph negative")
     elif kind == "acceleration":
         lat, lon = _coords(obj, required=False)
-        axis = obj.get("axis")
-        if axis not in AXES:
-            raise EventValidationError(f"invalid acceleration axis: {axis!r}")
+        axis = _canonical(_AXES, obj.get("axis"), "invalid acceleration axis")
         if "accel_g" not in obj:
             raise EventValidationError("acceleration event without accel_g")
         accel = _number(obj, "accel_g")
@@ -245,16 +258,16 @@ def parse_event_file(path) -> ParseResult:
         return parse_event_log(f)
 
 
-def serialize_logs(logs: Iterable[DeviceLog]) -> str:
-    """JSONL text for a set of logs; parse_event_log inverts this exactly.
+def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
+    """The JSONL lines for a set of logs, one event per line with its newline.
 
     Each line is the compact ``json.dumps`` of the event's object, formatted
     directly: the device id is JSON-quoted once per device, floats are
     written by ``repr`` (as ``json.dumps`` writes them) and the year is
-    zero-padded to four digits.
+    zero-padded to four digits.  Lines are made one at a time, so a writer
+    holds one line, not the file.
     """
     quoted: dict[str, str] = {}
-    lines = []
     for log in logs:
         for dev, ts, kind, lat, lon, speed, axis, accel in log.events:
             q = quoted.get(dev)
@@ -268,8 +281,12 @@ def serialize_logs(logs: Iterable[DeviceLog]) -> str:
                 line += ',"speed_kph":%r' % (speed,)
             if axis is not None:
                 line += ',"axis":"%s","accel_g":%r' % (axis, accel)
-            lines.append(line + "}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            yield line + "}\n"
+
+
+def serialize_logs(logs: Iterable[DeviceLog]) -> str:
+    """JSONL text for a set of logs; parse_event_log inverts this exactly."""
+    return "".join(iter_log_lines(logs))
 
 
 def validate_log(log: DeviceLog) -> ValidationReport:

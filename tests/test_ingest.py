@@ -5,9 +5,10 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from drivescore.ingest import (AXES, MAX_ABS_ACCEL_G, SUSPECT_SPEED_KPH,
-                               DeviceLog, EventPackage, EventValidationError,
-                               event_from_obj, parse_event_log,
+from drivescore.ingest import (AXES, EVENT_KINDS, MAX_ABS_ACCEL_G,
+                               SUSPECT_SPEED_KPH, DeviceLog, EventPackage,
+                               EventValidationError, event_from_obj,
+                               iter_log_lines, parse_event_log,
                                serialize_logs, validate_log)
 from conftest import jsonl, parse_objs
 
@@ -44,6 +45,9 @@ class TestEventFromObj:
         ev("acceleration", axis="vertical", accel_g=0.4),
         ev("acceleration", axis="lateral"),      # no magnitude
         ev("warp_drive"),
+        ev(["position"], lat=0.0, lon=0.0),      # unhashable kind
+        ev({"kind": "speed"}, speed_kph=1.0),
+        ev("acceleration", axis=["lateral"], accel_g=0.4),  # unhashable axis
         ev("position", ts="yesterday", lat=0.0, lon=0.0),
         ev("position", lat=0.0, lon=10 ** 400),  # an integer beyond the float range
         *[bad for c in ("NaN", "Infinity", "-Infinity") for bad in (
@@ -103,6 +107,22 @@ class TestParseEventLog:
         second = parse_event_log(text.splitlines())
         assert not second.skipped
         assert second.logs[0].events == first.logs[0].events
+
+    def test_events_share_device_kind_and_axis_strings(self):
+        objs = [ev("ignition_on", "2021-05-03T10:00:00Z", device="dev 1/\u00e9"),
+                pos("2021-05-03T10:00:30Z", 1.0, device="dev 1/\u00e9"),
+                ev("acceleration", "2021-05-03T10:01:00Z", device="dev 1/\u00e9",
+                   axis="lateral", accel_g=0.4),
+                ev("acceleration", "2021-05-03T10:01:30Z", device="dev 1/\u00e9",
+                   axis="lateral", accel_g=-0.2),
+                pos("2021-05-03T10:02:00Z", 1.1, device="dev 1/\u00e9"),
+                ev("ignition_off", "2021-05-03T10:03:00Z", device="dev 1/\u00e9")]
+        (log,) = parse_objs(objs).logs
+        kinds = {k: k for k in EVENT_KINDS}
+        axes = {a: a for a in AXES}
+        assert all(e.device_id is log.device_id for e in log.events)
+        assert all(e.kind is kinds[e.kind] for e in log.events)
+        assert all(e.axis is axes[e.axis] for e in log.events if e.axis is not None)
 
     def test_year_below_1000_round_trips(self):
         first = parse_objs([pos("0999-05-03T10:00:00Z", 1.0)])
@@ -186,6 +206,15 @@ def test_serialize_then_parse_returns_the_logs(pkgs):
     result = parse_event_log(serialize_logs(logs).encode("utf-8").splitlines())
     assert not result.skipped
     assert result.logs == logs
+
+
+@given(st.lists(event_packages(), max_size=12))
+def test_line_iterator_yields_the_serialized_text_line_by_line(pkgs):
+    logs = [_log_of(pkg) for pkg in pkgs]
+    lines = list(iter_log_lines(logs))
+    assert len(lines) == len(pkgs)
+    assert all(ln.endswith("}\n") and ln.count("\n") == 1 for ln in lines)
+    assert "".join(lines) == serialize_logs(logs)
 
 
 class TestValidateLog:
