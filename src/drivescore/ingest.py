@@ -6,25 +6,44 @@ The portable log format is JSON lines, one event object per line:
      "lat": <num>, "lon": <num>, "speed_kph": <num>, "axis": "longitudinal|lateral", "accel_g": <num>}
 
 Keys irrelevant to the event kind are absent; unknown extra keys are tolerated.
+A device's events are held as parallel columns (``DeviceLog``); this module
+needs nothing beyond the standard library.
 """
 from __future__ import annotations
 
 import json
 import math
-import sys
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from operator import attrgetter
+from datetime import datetime, timedelta, timezone
+from itertools import compress, count, islice
+from operator import eq, le
 from typing import IO, Iterable, Iterator, NamedTuple
 
-EVENT_KINDS = frozenset({"ignition_on", "ignition_off", "position", "speed", "acceleration"})
-AXES = frozenset({"longitudinal", "lateral"})
-# Each valid value maps to this module's own string, so events share one object per value.
-_KINDS = {k: k for k in EVENT_KINDS}
-_AXES = {a: a for a in AXES}
+# Event kinds and acceleration axes by their uint8 codes in a DeviceLog.
+KIND_NAMES = ("ignition_on", "ignition_off", "position", "speed", "acceleration")
+IGNITION_ON, IGNITION_OFF, POSITION, SPEED, ACCELERATION = range(len(KIND_NAMES))
+AXIS_NAMES = (None, "longitudinal", "lateral")  # code 0: the event has no axis
+LONGITUDINAL, LATERAL = 1, 2
+EVENT_KINDS = frozenset(KIND_NAMES)
+AXES = frozenset(AXIS_NAMES[1:])
+_KIND_CODES = {k: i for i, k in enumerate(KIND_NAMES)}
+_AXIS_CODES = {a: i for i, a in enumerate(AXIS_NAMES) if a is not None}
 
 MAX_ABS_ACCEL_G = 24.0     # accelerometer measurement ceiling
 SUSPECT_SPEED_KPH = 300.0  # data-quality flag threshold; such events are kept
+
+NAN = math.nan
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+_MIN_S = (datetime(1, 1, 1, tzinfo=timezone.utc) - EPOCH) // _SECOND  # the UTC datetime range
+_MAX_S = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - EPOCH) // _SECOND
+
+# The C scanner json.loads runs, called directly: json.loads adds two regex
+# whitespace matches per call, which a stripped line does not need.
+_scan_once = json.JSONDecoder().scan_once
 
 
 class EventValidationError(ValueError):
@@ -52,21 +71,151 @@ class EventPackage(NamedTuple):
         return self.latitude is not None and self.longitude is not None
 
 
-@dataclass(frozen=True)
+def utc_datetime(seconds: int) -> datetime:
+    return EPOCH + timedelta(seconds=seconds)
+
+
+def epoch_seconds(ts: datetime) -> int:
+    """The epoch second of a tz-aware datetime, truncating a fraction."""
+    return (ts - EPOCH) // _SECOND
+
+
+def _present(x: float) -> float | None:
+    return None if x != x else x
+
+
+@dataclass(frozen=True, eq=False)
 class DeviceLog:
-    """One device's time-ordered event stream over an observation window."""
+    """One device's time-ordered event stream, held as parallel columns.
+
+    Row ``i`` is one event: ``ts`` holds epoch seconds (ascending, events of
+    one second in arrival order), ``kind`` and ``axis`` hold codes into
+    ``KIND_NAMES`` and ``AXIS_NAMES``, and the float columns hold NaN where
+    the event has no such value.  A log holds at least one event and no two
+    equal ones; ``DeviceLogBuilder`` makes it.  ``events`` shows the rows as
+    ``EventPackage`` tuples, and two logs are equal when their events are.
+    """
 
     device_id: str
-    events: tuple[EventPackage, ...]
-    observation_start: datetime
-    observation_end: datetime
+    ts: array = field(repr=False)         # int64
+    kind: array = field(repr=False)       # uint8
+    axis: array = field(repr=False)       # uint8
+    lat: array = field(repr=False)        # float64, like the columns below
+    lon: array = field(repr=False)
+    speed_kph: array = field(repr=False)
+    accel_g: array = field(repr=False)
 
     @classmethod
     def from_events(cls, device_id: str, events: Iterable[EventPackage]) -> "DeviceLog":
-        evs = tuple(sorted(events, key=attrgetter("timestamp")))
-        if not evs:
+        """The log of ``events`` in time order, exact duplicates dropped."""
+        b = DeviceLogBuilder(device_id)
+        for e in events:
+            b.append(epoch_seconds(e.timestamp), _KIND_CODES[e.kind], _AXIS_CODES.get(e.axis, 0),
+                     *(NAN if v is None else v
+                       for v in (e.latitude, e.longitude, e.speed_kph, e.accel_g)))
+        return b.build()[0]
+
+    @property
+    def events(self) -> Sequence[EventPackage]:
+        return _Events(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeviceLog):
+            return NotImplemented
+        return self.device_id == other.device_id and self.events == other.events
+
+
+class _Events(Sequence):
+    """A DeviceLog's rows as EventPackage tuples, made on access."""
+
+    def __init__(self, log: DeviceLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.ts)
+
+    def __getitem__(self, i: int) -> EventPackage:
+        g = self._log
+        return EventPackage(g.device_id, utc_datetime(g.ts[i]), KIND_NAMES[g.kind[i]],
+                            _present(g.lat[i]), _present(g.lon[i]), _present(g.speed_kph[i]),
+                            AXIS_NAMES[g.axis[i]], _present(g.accel_g[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+# One event as a builder packs it, in 8-byte words so that each column is a
+# strided view: epoch s, lat, lon, speed_kph, accel_g, tag, then kind and axis.
+_RECORD = struct.Struct("=qddddqBB6x")
+_WORDS = _RECORD.size // 8
+
+
+def _column(view: memoryview, typecode: str, first: int, step: int) -> array:
+    col = array(typecode)
+    col.frombytes(view[first::step].tobytes())
+    return col
+
+
+class DeviceLogBuilder:
+    """One device's events as they arrive; ``build`` makes its DeviceLog.
+
+    The log gets one stable sort by time; exact duplicates, which then lie
+    in one run of equal timestamps, are dropped, keeping the first to arrive.
+    """
+
+    __slots__ = ("device_id", "records")
+
+    def __init__(self, device_id: str):
+        self.device_id = device_id
+        self.records = bytearray()
+
+    def append(self, ts: int, kind: int, axis: int = 0, lat: float = NAN, lon: float = NAN,
+               speed_kph: float = NAN, accel_g: float = NAN, tag: int = 0) -> None:
+        """Add an event: epoch seconds, codes, values (NaN where absent) and a
+        tag, such as its line number, that ``build`` reports if it is a duplicate."""
+        self.records += _RECORD.pack(ts, lat, lon, speed_kph, accel_g, tag, kind, axis)
+
+    def build(self) -> tuple[DeviceLog, list[int]]:
+        """The log, and the tags of the duplicates dropped from it, in order."""
+        if not self.records:
             raise ValueError("a DeviceLog needs at least one event")
-        return cls(device_id, evs, evs[0].timestamp, evs[-1].timestamp)
+        with memoryview(self.records) as words:
+            ints, floats, octets = words.cast("q"), words.cast("d"), words.cast("B")
+            cols = (_column(ints, "q", 0, _WORDS), _column(octets, "B", 48, 8 * _WORDS),
+                    _column(octets, "B", 49, 8 * _WORDS),
+                    *(_column(floats, "d", i, _WORDS) for i in range(1, 5)))
+            tags = _column(ints, "q", 5, _WORDS)
+            ints.release(), floats.release(), octets.release()
+        ts = cols[0]
+        if not all(map(le, ts, islice(ts, 1, None))):
+            order = sorted(range(len(ts)), key=ts.__getitem__)
+            cols, tags = (tuple(array(c.typecode, map(c.__getitem__, order)) for c in cols),
+                          array("q", map(tags.__getitem__, order)))
+            ts = cols[0]
+        dropped, run, prev = [], set(), -1
+        for i in compress(count(1), map(eq, ts, islice(ts, 1, None))):
+            if i - 1 != prev:  # i - 1 starts a run of equal timestamps
+                run = {_row(cols, i - 1)}
+            row = _row(cols, i)
+            if row in run:
+                dropped.append(i)
+            run.add(row)
+            prev = i
+        if dropped:
+            keep = [True] * len(ts)
+            for i in dropped:
+                keep[i] = False
+            cols = tuple(array(c.typecode, compress(c, keep)) for c in cols)
+        return DeviceLog(self.device_id, *cols), sorted(tags[i] for i in dropped)
+
+
+def _row(cols: tuple[array, ...], i: int) -> tuple:
+    """Row ``i`` without its time, absent values as None, for comparison."""
+    _, kind, axis, lat, lon, speed, accel = cols
+    return (kind[i], axis[i], _present(lat[i]), _present(lon[i]), _present(speed[i]),
+            _present(accel[i]))
 
 
 @dataclass(frozen=True)
@@ -83,7 +232,7 @@ class ParseResult:
 
     @property
     def n_events(self) -> int:
-        return sum(len(log.events) for log in self.logs)
+        return sum(len(log.ts) for log in self.logs)
 
 
 @dataclass(frozen=True)
@@ -102,42 +251,45 @@ class ValidationReport:
         return not self.issues
 
 
-def _parse_timestamp(raw: object) -> datetime:
+def _parse_timestamp(raw: object) -> int:
+    """Epoch seconds of an RFC 3339 timestamp with a zone, truncated to the second."""
     if not isinstance(raw, str):
         raise EventValidationError("timestamp not parseable: not a string")
     try:
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError as exc:
         raise EventValidationError(f"timestamp not parseable: {exc}") from None
-    if ts.tzinfo is timezone.utc and not ts.microsecond:
-        return ts
     if ts.tzinfo is None:
         raise EventValidationError("timestamp not parseable: missing timezone")
-    # Second precision by contract.
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    seconds = (ts - EPOCH) // _SECOND
+    # only an offset can carry a valid local time out of the UTC year range
+    if ts.tzinfo is not timezone.utc and not _MIN_S <= seconds <= _MAX_S:
+        raise EventValidationError("timestamp not parseable: date value out of range")
+    return seconds
 
 
 def _number(obj: dict, key: str) -> float:
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise EventValidationError(f"{key} is not a number")
-    # json.loads reads NaN, Infinity and 1e400 as floats, and an integer
-    # literal may lie beyond the float range.
-    try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise EventValidationError(f"{key} is not a number")
+        # an integer literal may lie beyond the float range
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+    # json.loads reads NaN, Infinity and 1e400 as floats
     if not math.isfinite(v):
         raise EventValidationError(f"{key} is not a finite number")
     return v
 
 
-def _coords(obj: dict, required: bool) -> tuple[float | None, float | None]:
+def _coords(obj: dict, required: bool) -> tuple[float, float]:
     has_lat, has_lon = "lat" in obj, "lon" in obj
     if not has_lat and not has_lon:
         if required:
             raise EventValidationError("missing coordinates")
-        return None, None
+        return NAN, NAN
     if has_lat != has_lon:
         raise EventValidationError("lat/lon must appear together")
     lat, lon = _number(obj, "lat"), _number(obj, "lon")
@@ -148,45 +300,39 @@ def _coords(obj: dict, required: bool) -> tuple[float | None, float | None]:
     return lat, lon
 
 
-def _canonical(table: dict[str, str], value: object, what: str) -> str:
-    """The table's own string equal to ``value``; unhashable values are invalid too."""
-    try:
-        return table[value]
-    except (KeyError, TypeError):
-        raise EventValidationError(f"{what}: {value!r}") from None
-
-
-def event_from_obj(obj: dict) -> EventPackage:
-    """Build a validated EventPackage from a decoded JSON object.
-
-    The device id is interned and kind and axis are the module's constants,
-    so the events of a log share those strings rather than each holding a copy.
-    """
+def _event_fields(obj: object) -> tuple:
+    """(device, epoch s, kind, axis, lat, lon, speed_kph, accel_g) of a decoded
+    JSON object, codes for kind and axis and NaN for absent values."""
     if not isinstance(obj, dict):
         raise EventValidationError("record is not an object")
     device = obj.get("device")
     if not isinstance(device, str) or not device:
         raise EventValidationError("missing or invalid device id")
-    device = sys.intern(str(device))  # str() passes a str through and unwraps a subclass
     if "ts" not in obj:
         raise EventValidationError("missing timestamp")
     ts = _parse_timestamp(obj["ts"])
-    kind = _canonical(_KINDS, obj.get("kind"), "unknown event kind")
+    try:
+        kind = _KIND_CODES[obj.get("kind")]
+    except (KeyError, TypeError):  # an unhashable value is no kind either
+        raise EventValidationError(f"unknown event kind: {obj.get('kind')!r}") from None
 
-    lat = lon = speed = accel = None
-    axis = None
-    if kind == "position":
+    lat = lon = speed = accel = NAN
+    axis = 0
+    if kind == POSITION:
         lat, lon = _coords(obj, required=True)
-    elif kind == "speed":
+    elif kind == SPEED:
         lat, lon = _coords(obj, required=False)
         if "speed_kph" not in obj:
             raise EventValidationError("speed event without speed_kph")
         speed = _number(obj, "speed_kph")
         if speed < 0:
             raise EventValidationError("speed_kph negative")
-    elif kind == "acceleration":
+    elif kind == ACCELERATION:
         lat, lon = _coords(obj, required=False)
-        axis = _canonical(_AXES, obj.get("axis"), "invalid acceleration axis")
+        try:
+            axis = _AXIS_CODES[obj.get("axis")]
+        except (KeyError, TypeError):  # an unhashable value is no axis either
+            raise EventValidationError(f"invalid acceleration axis: {obj.get('axis')!r}") from None
         if "accel_g" not in obj:
             raise EventValidationError("acceleration event without accel_g")
         accel = _number(obj, "accel_g")
@@ -195,16 +341,31 @@ def event_from_obj(obj: dict) -> EventPackage:
     else:  # ignition events carry no payload
         for key in ("lat", "lon", "speed_kph", "axis", "accel_g"):
             if key in obj:
-                raise EventValidationError(f"{key} not allowed on {kind} event")
+                raise EventValidationError(f"{key} not allowed on {KIND_NAMES[kind]} event")
 
-    if kind != "speed" and "speed_kph" in obj:
-        raise EventValidationError(f"speed_kph not allowed on {kind} event")
-    if kind != "acceleration" and ("axis" in obj or "accel_g" in obj):
-        raise EventValidationError(f"acceleration fields not allowed on {kind} event")
-    if kind in ("ignition_on", "ignition_off") and ("lat" in obj or "lon" in obj):
-        raise EventValidationError(f"coordinates not allowed on {kind} event")
+    if kind != SPEED and "speed_kph" in obj:
+        raise EventValidationError(f"speed_kph not allowed on {KIND_NAMES[kind]} event")
+    if kind != ACCELERATION and ("axis" in obj or "accel_g" in obj):
+        raise EventValidationError(f"acceleration fields not allowed on {KIND_NAMES[kind]} event")
+    return device, ts, kind, axis, lat, lon, speed, accel
 
-    return EventPackage(device, ts, kind, lat, lon, speed, axis, accel)
+
+def event_from_obj(obj: dict) -> EventPackage:
+    """Build a validated EventPackage from a decoded JSON object."""
+    device, ts, kind, axis, lat, lon, speed, accel = _event_fields(obj)
+    return EventPackage(device, utc_datetime(ts), KIND_NAMES[kind], _present(lat),
+                        _present(lon), _present(speed), AXIS_NAMES[axis], _present(accel))
+
+
+def _loads(line: str):
+    """``json.loads`` of a stripped line."""
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)  # raises json's own error for the line, or decodes it
 
 
 def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes]) -> ParseResult:
@@ -212,12 +373,12 @@ def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes
 
     Malformed lines are skipped with a (line number, reason) diagnostic;
     duplicate events (identical device, timestamp, kind and payload) are
-    dropped the same way, so skipped + emitted always equals the line count.
+    dropped the same way, keeping the first line, so skipped + emitted always
+    equals the line count.  Skipped lines are reported in line order.
     Events are sorted by timestamp within each device (stable, preserving
     input order between equal timestamps).
     """
-    events: dict[str, list[EventPackage]] = {}
-    seen: set[EventPackage] = set()
+    builders: dict[str, DeviceLogBuilder] = {}
     skipped: list[SkippedLine] = []
     n_lines = 0
     for n_lines, raw in enumerate(stream, start=1):
@@ -234,22 +395,28 @@ def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes
             skipped.append(SkippedLine(n_lines, "empty line"))
             continue
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
         except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             skipped.append(SkippedLine(n_lines, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
             continue
         try:
-            ev = event_from_obj(obj)
+            device, ts, kind, axis, lat, lon, speed, accel = _event_fields(obj)
         except EventValidationError as exc:
             skipped.append(SkippedLine(n_lines, str(exc)))
             continue
-        if ev in seen:
-            skipped.append(SkippedLine(n_lines, "duplicate event"))
-            continue
-        seen.add(ev)
-        events.setdefault(ev.device_id, []).append(ev)
+        b = builders.get(device)
+        if b is None:
+            b = builders[device] = DeviceLogBuilder(device)
+        b.records += _RECORD.pack(ts, lat, lon, speed, accel, n_lines, kind, axis)  # b.append
 
-    logs = [DeviceLog.from_events(dev, evs) for dev, evs in events.items()]
+    logs = []
+    n_skipped = len(skipped)
+    for device in list(builders):  # each device's records go once its log is built
+        log, dropped = builders.pop(device).build()
+        logs.append(log)
+        skipped.extend(SkippedLine(n, "duplicate event") for n in dropped)
+    if len(skipped) > n_skipped:
+        skipped.sort(key=lambda s: s.line_no)
     return ParseResult(logs=logs, skipped=skipped, n_lines=n_lines)
 
 
@@ -262,25 +429,28 @@ def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
     """The JSONL lines for a set of logs, one event per line with its newline.
 
     Each line is the compact ``json.dumps`` of the event's object, formatted
-    directly: the device id is JSON-quoted once per device, floats are
-    written by ``repr`` (as ``json.dumps`` writes them) and the year is
-    zero-padded to four digits.  Lines are made one at a time, so a writer
-    holds one line, not the file.
+    directly: the device id is JSON-quoted once per device, each day's date
+    is formatted once, floats are written by ``repr`` (as ``json.dumps``
+    writes them) and the year is zero-padded to four digits.  Lines are made
+    one at a time, so a writer holds one line, not the file.
     """
-    quoted: dict[str, str] = {}
+    days: dict[int, str] = {}
     for log in logs:
-        for dev, ts, kind, lat, lon, speed, axis, accel in log.events:
-            q = quoted.get(dev)
-            if q is None:
-                q = quoted[dev] = json.dumps(dev)
-            line = '{"device":%s,"ts":"%04d-%02d-%02dT%02d:%02d:%02dZ","kind":"%s"' % (
-                q, ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second, kind)
-            if lat is not None:
+        head = '{"device":%s,"ts":"' % json.dumps(log.device_id)
+        for ts, kind, axis, lat, lon, speed, accel in zip(
+                log.ts, log.kind, log.axis, log.lat, log.lon, log.speed_kph, log.accel_g):
+            day, s = divmod(ts, 86400)
+            date = days.get(day)
+            if date is None:
+                date = days[day] = '%sT' % utc_datetime(day * 86400).date().isoformat()
+            line = '%s%s%02d:%02d:%02dZ","kind":"%s"' % (
+                head, date, s // 3600, s // 60 % 60, s % 60, KIND_NAMES[kind])
+            if lat == lat:
                 line += ',"lat":%r,"lon":%r' % (lat, lon)
-            if speed is not None:
+            if speed == speed:
                 line += ',"speed_kph":%r' % (speed,)
-            if axis is not None:
-                line += ',"axis":"%s","accel_g":%r' % (axis, accel)
+            if axis:
+                line += ',"axis":"%s","accel_g":%r' % (AXIS_NAMES[axis], accel)
             yield line + "}\n"
 
 
@@ -292,38 +462,31 @@ def serialize_logs(logs: Iterable[DeviceLog]) -> str:
 def validate_log(log: DeviceLog) -> ValidationReport:
     """Report invariant violations without mutating the log.
 
-    Checks time ordering, ignition pairing and implausible speeds
-    (> 300 kph is flagged as suspect, not dropped).
+    Checks ignition pairing and implausible speeds (> 300 kph is flagged as
+    suspect, not dropped); time order is the DeviceLog's own invariant.
     """
     report = ValidationReport(device_id=log.device_id)
     issues = report.issues
-    prev_ts = None
+    ts, kind, speed = log.ts, log.kind, log.speed_kph
+    ignitions = compress(count(), map(IGNITION_OFF.__ge__, kind))
+    suspect = compress(count(), map(SUSPECT_SPEED_KPH.__lt__, speed))
     ignition_open: datetime | None = None
-    for ev in log.events:
-        if ev.device_id != log.device_id:
-            issues.append(ValidationIssue("device_mismatch",
-                                          f"event at {ev.timestamp} bears device {ev.device_id!r}"))
-        if prev_ts is not None and ev.timestamp < prev_ts:
-            issues.append(ValidationIssue("non_monotone_time",
-                                          f"timestamp {ev.timestamp} before {prev_ts}"))
-        prev_ts = ev.timestamp
-        if not log.observation_start <= ev.timestamp <= log.observation_end:
-            issues.append(ValidationIssue("outside_window",
-                                          f"event at {ev.timestamp} outside observation window"))
-        if ev.kind == "ignition_on":
+    for i in sorted((*ignitions, *suspect)):
+        at = utc_datetime(ts[i])
+        if kind[i] == IGNITION_ON:
             if ignition_open is not None:
                 issues.append(ValidationIssue("unterminated_trip",
                                               f"unterminated trip: ignition_on at {ignition_open} "
-                                              f"followed by ignition_on at {ev.timestamp}"))
-            ignition_open = ev.timestamp
-        elif ev.kind == "ignition_off":
+                                              f"followed by ignition_on at {at}"))
+            ignition_open = at
+        elif kind[i] == IGNITION_OFF:
             if ignition_open is None:
                 issues.append(ValidationIssue("unmatched_ignition_off",
-                                              f"ignition_off at {ev.timestamp} without ignition_on"))
+                                              f"ignition_off at {at} without ignition_on"))
             ignition_open = None
-        elif ev.kind == "speed" and ev.speed_kph is not None and ev.speed_kph > SUSPECT_SPEED_KPH:
+        else:
             issues.append(ValidationIssue("suspect_speed",
-                                          f"suspect speed {ev.speed_kph} kph at {ev.timestamp}"))
+                                          f"suspect speed {speed[i]} kph at {at}"))
     if ignition_open is not None:
         issues.append(ValidationIssue("unterminated_trip",
                                       f"unterminated trip: ignition_on at {ignition_open} never closed"))

@@ -25,7 +25,8 @@ import numpy as np
 
 from .bands import ACCEL_BAND_NAMES
 from .features import FeatureVector, Window
-from .ingest import DeviceLog, EventPackage
+from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, LONGITUDINAL,
+                     POSITION, SPEED, DeviceLog, DeviceLogBuilder, epoch_seconds)
 from .trips import EARTH_RADIUS_KM
 from .labeling import ClaimRecord
 
@@ -445,16 +446,16 @@ def generate_event_log(profile: DriverProfile, weeks: int,
 
     Trips run along the equator at constant per-band speeds with positions
     every 60 s, so the GPS pipeline recovers the profile's band structure;
-    ignition events bracket every trip exactly.
+    ignition events bracket every trip exactly.  Two draws that truncate to
+    the same event in the same second make one event, as parse would keep.
     """
-    events: list[EventPackage] = []
+    log = DeviceLogBuilder(profile.device_id)
     lon = float(rng.uniform(-30.0, 30.0))
-    dev = profile.device_id
     hours = np.arange(24)
     hour_p = np.asarray(profile.hour_weights)
 
-    def emit(ts: datetime, kind: str, **kw):
-        events.append(EventPackage(dev, ts.replace(microsecond=0), kind, **kw))
+    def emit(ts: datetime, kind: int, **kw):
+        log.append(epoch_seconds(ts), kind, **kw)
 
     prev_end = None
     for day_i in range(weeks * 7):
@@ -482,21 +483,21 @@ def generate_event_log(profile: DriverProfile, weeks: int,
             # keep the whole trip inside valid longitudes (< 14 degrees per trip)
             lon = (lon + 90.0) % 180.0 - 90.0
             t = trip_start
-            emit(t, "ignition_on")
-            emit(t, "position", latitude=SYNTH_LATITUDE, longitude=round(lon, 7))
+            emit(t, IGNITION_ON)
+            emit(t, POSITION, lat=SYNTH_LATITUDE, lon=round(lon, 7))
             for share, speed in zip(profile.band_shares, profile.band_speeds):
                 seg_km = length * share
                 if seg_km <= 0.0:
                     continue
                 seg_s = seg_km / speed * 3600.0
-                emit(t, "speed", speed_kph=round(speed, 3))
+                emit(t, SPEED, speed_kph=round(speed, 3))
                 steps = max(1, int(seg_s // 60.0))
                 for k in range(1, steps + 1):
                     dt = seg_s * k / steps
                     d_km = seg_km * k / steps
                     ts = t + timedelta(seconds=dt)
-                    emit(ts, "position", latitude=SYNTH_LATITUDE,
-                         longitude=round(lon + d_km / KM_PER_DEGREE, 7))
+                    emit(ts, POSITION, lat=SYNTH_LATITUDE,
+                         lon=round(lon + d_km / KM_PER_DEGREE, 7))
                 t = t + timedelta(seconds=seg_s)
                 lon += seg_km / KM_PER_DEGREE
             trip_end = t
@@ -508,23 +509,23 @@ def generate_event_log(profile: DriverProfile, weeks: int,
                     offset = float(rng.uniform(1.0, max(2.0, duration_s - 1.0)))
                     ts = trip_start + timedelta(seconds=offset)
                     if band.startswith("a"):
-                        emit(ts, "acceleration", axis="longitudinal", accel_g=round(g, 4))
+                        emit(ts, ACCELERATION, axis=LONGITUDINAL, accel_g=round(g, 4))
                     elif band.startswith("d"):
-                        emit(ts, "acceleration", axis="longitudinal", accel_g=round(-g, 4))
+                        emit(ts, ACCELERATION, axis=LONGITUDINAL, accel_g=round(-g, 4))
                     else:
                         sign = 1.0 if rng.random() < 0.5 else -1.0
-                        emit(ts, "acceleration", axis="lateral", accel_g=round(sign * g, 4))
+                        emit(ts, ACCELERATION, axis=LATERAL, accel_g=round(sign * g, 4))
             if rng.random() < 0.10:
                 burst = _slice_peak(profile, h)
                 ts = trip_start + timedelta(seconds=float(rng.uniform(1.0, max(2.0, duration_s - 1.0))))
-                emit(ts, "speed", speed_kph=round(burst, 3))
-            emit(trip_end + timedelta(seconds=30), "ignition_off")
+                emit(ts, SPEED, speed_kph=round(burst, 3))
+            emit(trip_end + timedelta(seconds=30), IGNITION_OFF)
             prev_end = trip_end + timedelta(seconds=30)
-    if not events:
+    if not log.records:
         # guarantee a parseable log even for a pathologically inactive draw
-        emit(start + timedelta(hours=12), "ignition_on")
-        emit(start + timedelta(hours=12, minutes=30), "ignition_off")
-    return DeviceLog.from_events(dev, events)
+        emit(start + timedelta(hours=12), IGNITION_ON)
+        emit(start + timedelta(hours=12, minutes=30), IGNITION_OFF)
+    return log.build()[0]
 
 
 def iter_event_logs(result: SynthResult, limit: int | None = None) -> Iterator[DeviceLog]:

@@ -4,21 +4,21 @@ Trips are bounded by ignition pairs when the device reports them and by
 silence gaps between movement events otherwise.  Hourly records carry the
 per-hour mileage split by speed band, the G-band event counts and the hour's
 speed statistics; they are the only input the feature catalog needs besides
-the trips themselves.
+the trips themselves.  Both stages work on a log's columns with a fixed
+number of array passes per device.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
-from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .bands import (ACCEL_BAND_NAMES, SPEED_BAND_NAMES, classify_accel_event,
-                    speed_band)
-from .ingest import DeviceLog, EventPackage
+import numpy as np
+
+from .bands import ACCEL_BAND_NAMES, SPEED_BAND_NAMES, accel_bands, speed_bands
+from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, POSITION,
+                     SPEED, DeviceLog, epoch_seconds, utc_datetime)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -26,20 +26,22 @@ DEFAULT_GAP_THRESHOLD_S = 600.0
 MIN_TRIP_DURATION_S = 60.0   # anything shorter is GPS jitter
 MIN_TRIP_MILEAGE_KM = 0.1
 
-MOVEMENT_KINDS = ("position", "speed")
-
 HOURLY_CSV_COLUMNS = (("device", "hour_start", "mileage_km", "mean_speed_kph")
                       + ACCEL_BAND_NAMES + SPEED_BAND_NAMES + ("max_kph",))
 TRIP_CSV_COLUMNS = ("device", "start", "end", "mileage_km", "duration_s", "mean_speed_kph")
 
 
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in km between two WGS84 points."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in km between WGS84 points, elementwise over arrays.
+
+    ``asin`` comes from ``math``: ``np.arcsin`` can differ in the last bit.
+    """
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    a = (np.sin((p2 - p1) / 2.0) ** 2
+         + np.cos(p1) * np.cos(p2) * np.sin(np.radians(lon2 - lon1) / 2.0) ** 2)
+    c = np.minimum(1.0, np.sqrt(a))
+    asin = np.fromiter(map(math.asin, c.ravel().tolist()), float, c.size)
+    return 2.0 * EARTH_RADIUS_KM * asin.reshape(np.shape(c))
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,13 @@ class Trip:
             raise ValueError("negative mileage")
 
 
-@dataclass(frozen=True)
-class HourlyRecord:
+class HourlyRecord(NamedTuple):
     """Aggregate of one device's activity during one local clock hour.
 
-    ``hour_start`` is timezone-aware in the aggregation timezone; with the
-    default UTC configuration it is a UTC instant truncated to the hour.
-    ``mileage_km`` equals the sum of the speed-band mileage fields exactly.
+    ``hour_start`` is the local start of the hour, with the UTC offset in
+    effect during it; with the default UTC configuration it is a UTC instant
+    truncated to the hour.  ``mileage_km`` equals the sum of the speed-band
+    mileage fields exactly.
     """
 
     device_id: str
@@ -97,20 +99,58 @@ class HourlyRecord:
                 self.d3_n, self.s1_n, self.s2_n, self.s3_n)
 
 
-def _fixes(log: DeviceLog) -> list[EventPackage]:
-    """The log's movement events with coordinates, in time order."""
-    return [e for e in log.events if e.kind in MOVEMENT_KINDS and e.has_coords]
+_last_legs: tuple = (None, None)  # the log measured last, and its legs
 
 
-def _trip_legs(fixes: Sequence[EventPackage], start: datetime,
-               end: datetime) -> list[tuple[datetime, datetime, float]]:
-    """GPS legs (t0, t1, km) between consecutive fixes timed within [start, end]."""
-    key = attrgetter("timestamp")
-    lo = bisect_left(fixes, start, key=key)
-    pts = fixes[lo:bisect_right(fixes, end, lo, key=key)]
-    return [(a.timestamp, b.timestamp,
-             haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
-            for a, b in zip(pts, pts[1:])]
+def _legs(log: DeviceLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t0, t1, km) of each GPS leg, the path between consecutive fixes (movement
+    events with coordinates).  ``segment_trips`` and then ``aggregate_hourly``
+    ask for the same log, so the last log's legs are kept: each is measured once.
+    """
+    global _last_legs
+    last, legs = _last_legs
+    if last is not log:
+        kind = np.frombuffer(log.kind, np.uint8)
+        lat, lon = np.frombuffer(log.lat), np.frombuffer(log.lon)
+        fix = ((kind == POSITION) | (kind == SPEED)) & ~np.isnan(lat) & ~np.isnan(lon)
+        t, lat, lon = np.frombuffer(log.ts, np.int64)[fix], lat[fix], lon[fix]
+        legs = t[:-1], t[1:], haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
+        _last_legs = log, legs
+    return legs
+
+
+def _spans(ts: np.ndarray, kind: np.ndarray, gap_threshold_s: float):
+    """(starts, ends) in epoch s of the log's candidate trips, in time order."""
+    move = np.flatnonzero((kind == POSITION) | (kind == SPEED))
+    ign = np.flatnonzero(kind <= IGNITION_OFF)
+    if len(ign):
+        nxt = np.append(ign[1:], len(ts))  # the next ignition event, or the end
+        closed = np.append(kind[ign[1:]] == IGNITION_OFF, False)
+        last_move = np.append(move, -1)[np.searchsorted(move, nxt) - 1]
+        trip = (kind[ign] == IGNITION_ON) & (closed | (last_move > ign))
+        ends = np.where(closed, ts[np.minimum(nxt, len(ts) - 1)], ts[last_move])
+        return ts[ign[trip]], ends[trip]
+    t = ts[move]
+    cut = np.flatnonzero(np.diff(t) > gap_threshold_s) + 1
+    if not len(t):
+        return t, t
+    return t[np.r_[0, cut]], t[np.r_[cut - 1, len(t) - 1]]
+
+
+def _leg_trips(legs, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The trip each leg counts in, -1 for none: the first whose span holds both
+    its fixes.  Trips are in time order and overlap at most in one shared
+    second, so that trip is the first to end at or after the leg ends."""
+    t0, t1, _ = legs
+    k = np.searchsorted(ends, t1)
+    inside = k < len(ends)
+    inside[inside] = starts[k[inside]] <= t0[inside]
+    return np.where(inside, k, -1)
+
+
+def _trip_km(legs, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    k = _leg_trips(legs, starts, ends)
+    return np.bincount(k[k >= 0], weights=legs[2][k >= 0], minlength=len(starts))
 
 
 def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> list[Trip]:
@@ -120,138 +160,175 @@ def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD
     the next ignition_off closes (an unclosed trip ends at the last movement
     event seen before the next ignition_on or the end of the log).  Without
     ignition events, a silence longer than ``gap_threshold_s`` between
-    consecutive movement events starts a new trip.  A trip's GPS path is
-    every movement event with coordinates timed within [start, end], ties
-    with the trip's ignition events included; ``aggregate_hourly`` rolls up
-    the same legs, so hourly mileage sums to trip mileage.  Trips shorter
-    than 60 s or under 0.1 km are discarded as jitter.
+    consecutive movement events starts a new trip.  Trips shorter than 60 s
+    or under 0.1 km are discarded as jitter.
+
+    A trip's mileage sums its GPS legs, the paths between consecutive
+    position or speed fixes with coordinates.  A leg goes to the first kept
+    trip whose span [start, end] holds both its fixes, so a leg inside the
+    second where one trip ends and the next starts counts once, in the
+    earlier trip, and a leg that a dropped trip held may count in a kept
+    neighbour.  ``aggregate_hourly`` applies the same rule, so hourly
+    mileage sums to trip mileage.
     """
     if gap_threshold_s <= 0:
         raise ValueError("gap_threshold_s must be positive")
-    spans: list[tuple[datetime, datetime]] = []
-    if any(e.kind in ("ignition_on", "ignition_off") for e in log.events):
-        open_ts = last_move = None
-        for ev in log.events:
-            if ev.kind == "ignition_on":
-                if open_ts is not None and last_move is not None:
-                    spans.append((open_ts, last_move))
-                open_ts, last_move = ev.timestamp, None
-            elif ev.kind == "ignition_off":
-                if open_ts is not None:
-                    spans.append((open_ts, ev.timestamp))
-                open_ts = None
-            elif open_ts is not None and ev.kind in MOVEMENT_KINDS:
-                last_move = ev.timestamp
-        if open_ts is not None and last_move is not None:
-            spans.append((open_ts, last_move))
-    else:
-        first = last = None
-        for ev in log.events:
-            if ev.kind not in MOVEMENT_KINDS:
-                continue
-            if last is None or (ev.timestamp - last).total_seconds() > gap_threshold_s:
-                if last is not None:
-                    spans.append((first, last))
-                first = ev.timestamp
-            last = ev.timestamp
-        if last is not None:
-            spans.append((first, last))
-
-    fixes = _fixes(log)
-    trips: list[Trip] = []
-    for start, end in spans:
-        duration = (end - start).total_seconds()
-        if duration < MIN_TRIP_DURATION_S:
-            continue
-        mileage = sum(km for _, _, km in _trip_legs(fixes, start, end))
-        if mileage >= MIN_TRIP_MILEAGE_KM:
-            trips.append(Trip(log.device_id, start, end, mileage, duration,
-                              mileage / (duration / 3600.0)))
-    return trips
+    starts, ends = _spans(np.frombuffer(log.ts, np.int64), np.frombuffer(log.kind, np.uint8),
+                          gap_threshold_s)
+    long_enough = ends - starts >= MIN_TRIP_DURATION_S
+    starts, ends = starts[long_enough], ends[long_enough]
+    legs = _legs(log)
+    km = _trip_km(legs, starts, ends)
+    kept = km >= MIN_TRIP_MILEAGE_KM
+    if not kept.all():  # legs a dropped trip held may go to a kept one
+        starts, ends = starts[kept], ends[kept]
+        km = _trip_km(legs, starts, ends)
+    return [Trip(log.device_id, utc_datetime(s), utc_datetime(e), m, float(e - s),
+                 m / ((e - s) / 3600.0))
+            for s, e, m in zip(starts.tolist(), ends.tolist(), km.tolist())]
 
 
-def _local_hour_start(ts: datetime, tz: tzinfo) -> datetime:
-    return ts.astimezone(tz).replace(minute=0, second=0, microsecond=0)
+class _LocalHours:
+    """The local clock hours of ``tz`` over a sorted array of UTC hours (epoch s // 3600).
+
+    An instant's local hour is keyed by the UTC instant at which that clock
+    hour starts, under the offset in effect at the instant.  The offset is
+    looked up at the start of each UTC hour and of the next; where the two
+    differ, bisection finds the second it changes (once per hour at most).
+    """
+
+    def __init__(self, tz: tzinfo, hours: np.ndarray):
+        def offset(t: int) -> int:
+            return datetime.fromtimestamp(t, tz).utcoffset() // timedelta(seconds=1)
+
+        starts = hours * 3600
+        at = {t: offset(t) for t in {*starts.tolist(), *(starts + 3600).tolist()}}
+        self.hours, self.change = hours, starts + 3600
+        self.before = np.array([at[t] for t in starts.tolist()], np.int64)
+        self.after = np.array([at[t] for t in self.change.tolist()], np.int64)
+        for i in np.flatnonzero(self.before != self.after).tolist():
+            lo, hi = int(starts[i]), int(self.change[i])
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if offset(mid) == self.before[i] else (lo, mid)
+            self.change[i] = hi
+
+    def key(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The hour key of each instant, and the offset in effect at it."""
+        i = np.searchsorted(self.hours, t // 3600)
+        off = np.where(t < self.change[i], self.before[i], self.after[i])
+        return t - (t + off) % 3600, off
+
+    def boundaries(self) -> np.ndarray:
+        """Every instant, in order, at which the local hour changes."""
+        s = self.hours * 3600
+        first, then = s + -self.before % 3600, s + -self.after % 3600
+        changed = self.before != self.after
+        if not changed.any():  # one boundary per hour, already in order
+            return first
+        return _unique(np.concatenate([
+            first[first < self.change], self.change[changed],
+            then[changed & (then >= self.change) & (then < s + 3600)]]))[0]
 
 
-class _HourAccumulator:
-    __slots__ = ("band_km", "counts", "speed_weight", "speed_wsum", "max_speed")
-
-    def __init__(self):
-        self.band_km = dict.fromkeys(SPEED_BAND_NAMES, 0.0)
-        self.counts = dict.fromkeys(ACCEL_BAND_NAMES, 0)
-        self.speed_weight = 0.0
-        self.speed_wsum = 0.0
-        self.max_speed = 0.0
-
-    def add_leg_portion(self, km: float, speed_kph: float):
-        self.band_km[speed_band(speed_kph)] += km
-        self.speed_weight += km
-        self.speed_wsum += km * speed_kph
-        self.max_speed = max(self.max_speed, speed_kph)
+def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``a`` in order and where each first occurs: np.unique
+    with ``return_index``, minus the numpy.ma import np.unique makes."""
+    order = np.argsort(a, kind="stable")
+    a = a[order]
+    first = np.ones(len(a), bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first], order[first]
 
 
-def _split_leg_hours(t0: datetime, t1: datetime, tz: tzinfo) -> list[tuple[datetime, float]]:
-    """Fractions of the leg's duration falling in each local hour."""
-    total = (t1 - t0).total_seconds()
-    if total <= 0:
-        return [(_local_hour_start(t0, tz), 1.0)]
-    out: list[tuple[datetime, float]] = []
-    cur = t0
-    while cur < t1:
-        hour = _local_hour_start(cur, tz)
-        nxt = (hour + timedelta(hours=1)).astimezone(timezone.utc)
-        chunk_end = min(t1, nxt)
-        out.append((hour, (chunk_end - cur).total_seconds() / total))
-        cur = chunk_end
-    return out
+def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For run lengths ``n``: each item's run and its place within the run."""
+    run = np.repeat(np.arange(len(n)), n)
+    return run, np.arange(len(run)) - (np.cumsum(n) - n)[run]
 
 
 def aggregate_hourly(log: DeviceLog, trips: Sequence[Trip],
                      tz: tzinfo = timezone.utc) -> list[HourlyRecord]:
     """Roll a device log up into one record per active local clock hour.
 
-    Mileage comes from the GPS legs ``segment_trips`` sums for each trip
-    (consecutive fixes timed within [start, end]), so hourly mileage sums to
-    trip mileage; a leg spanning an hour boundary is split in proportion to
-    time.  Each leg's mileage lands in the speed
-    band of the leg's average speed.  The hourly mean speed is the
-    mileage-weighted mean of leg speeds, the hourly max is taken over both
-    leg speeds and speed-package readings, and every in-band acceleration
-    event in the log is counted in its hour whether or not it falls inside a
-    trip.  Hours with no activity produce no record.
+    Mileage comes from the GPS legs ``segment_trips`` gives each trip (a leg
+    goes to the first trip whose span holds both its fixes), so hourly
+    mileage sums to trip mileage; a leg spanning an hour boundary is split in
+    proportion to time.  Hours are keyed by the UTC instant at which the
+    local hour starts: a fall-back night has two 02:00 hours, one per
+    offset, and a zone offset by a half hour starts its hours at half past.
+    Each leg's mileage lands in the speed band of the leg's average speed.
+    The hourly mean speed is the mileage-weighted mean of leg speeds, the
+    hourly max is taken over both leg speeds and the speed-package readings
+    of hours with a record, and every in-band acceleration event in the log
+    is counted in its hour whether or not it falls inside a trip.  Hours with
+    no activity produce no record.  ``trips`` are in time order and overlap
+    at most in one shared second, as ``segment_trips`` returns them.
     """
-    hours: defaultdict[datetime, _HourAccumulator] = defaultdict(_HourAccumulator)
-    fixes = _fixes(log)
-    for trip in trips:
-        for t0, t1, km in _trip_legs(fixes, trip.start, trip.end):
-            if km == 0.0:
-                continue
-            dt = (t1 - t0).total_seconds()
-            speed = km / (dt / 3600.0) if dt > 0 else 0.0
-            for hour, frac in _split_leg_hours(t0, t1, tz):
-                hours[hour].add_leg_portion(km * frac, speed)
+    starts = np.array([epoch_seconds(t.start) for t in trips], np.int64)
+    ends = np.array([epoch_seconds(t.end) for t in trips], np.int64)
+    if np.any(starts[1:] < ends[:-1]):
+        raise ValueError("trips must be in time order and overlap at most in one second")
+    legs = _legs(log)
+    mine = (_leg_trips(legs, starts, ends) >= 0) & (legs[2] != 0.0)
+    t0, t1, km = (x[mine] for x in legs)
+    dt = t1 - t0
+    speed = np.divide(km, dt / 3600.0, out=np.zeros(len(km)), where=dt > 0)
 
-    for ev in log.events:
-        if ev.kind == "speed":
-            a = hours.get(_local_hour_start(ev.timestamp, tz))
-            if a is not None:
-                a.max_speed = max(a.max_speed, ev.speed_kph)
-        elif ev.kind == "acceleration":
-            band = classify_accel_event(ev.axis, ev.accel_g)
-            if band is not None:
-                hours[_local_hour_start(ev.timestamp, tz)].counts[band] += 1
+    ts, kind = np.frombuffer(log.ts, np.int64), np.frombuffer(log.kind, np.uint8)
+    acc = np.flatnonzero(kind == ACCELERATION)
+    band = accel_bands(np.frombuffer(log.axis, np.uint8)[acc] == LATERAL,
+                       np.frombuffer(log.accel_g)[acc])
+    acc_t, acc_band = ts[acc][band >= 0], band[band >= 0]
+    if not len(km) and not len(acc_t):
+        return []
+    spd = np.flatnonzero(kind == SPEED)
+    spd_t, spd_kph = ts[spd], np.frombuffer(log.speed_kph)[spd]
 
-    records = []
-    for hour in sorted(hours):
-        a = hours[hour]
-        bands = [a.band_km[name] for name in SPEED_BAND_NAMES]
-        mileage = sum(bands)
-        mean_speed = a.speed_wsum / a.speed_weight if a.speed_weight > 0 else 0.0
-        records.append(HourlyRecord(
-            log.device_id, hour, mileage, mean_speed, a.max_speed,
-            *(a.counts[name] for name in ACCEL_BAND_NAMES), *bands))
-    return records
+    h0 = t0 // 3600
+    leg, step = _runs(np.maximum(t1 - 1, t0) // 3600 - h0 + 1)
+    hours = _LocalHours(tz, _unique(np.concatenate(
+        [h0[leg] + step, acc_t // 3600, spd_t // 3600]))[0])
+
+    # Each leg's pieces between the hour boundaries inside it, in leg order.
+    bounds = hours.boundaries()
+    lo = np.searchsorted(bounds, t0, "right")
+    inner = np.maximum(np.searchsorted(bounds, t1, "left") - lo, 0)
+    leg, step = _runs(inner + 1)
+    bounds = np.append(bounds, 0)
+    p_start = np.where(step == 0, t0[leg], bounds[lo[leg] + step - 1])
+    p_end = np.where(step == inner[leg], t1[leg], bounds[lo[leg] + step])
+    p_km = km[leg] * np.divide(p_end - p_start, dt[leg], out=np.ones(len(leg)),
+                               where=dt[leg] > 0)
+    p_speed = speed[leg]
+
+    (p_key, p_off), (acc_key, acc_off) = hours.key(p_start), hours.key(acc_t)
+    keys, first = _unique(np.concatenate([p_key, acc_key]))
+    offsets = np.concatenate([p_off, acc_off])[first]
+    n = len(keys)
+    rec, acc_rec = np.searchsorted(keys, p_key), np.searchsorted(keys, acc_key)
+
+    # bincount adds piece by piece in leg order, so each sum rounds as a loop over legs would.
+    band_km = np.bincount(rec * 5 + speed_bands(p_speed), weights=p_km,
+                          minlength=5 * n).reshape(n, 5)
+    weight = np.bincount(rec, weights=p_km, minlength=n)
+    mean_speed = np.divide(np.bincount(rec, weights=p_km * p_speed, minlength=n), weight,
+                           out=np.zeros(n), where=weight > 0)
+    max_speed = np.zeros(n)
+    np.maximum.at(max_speed, rec, p_speed)
+    spd_key = hours.key(spd_t)[0]
+    spd_rec = np.minimum(np.searchsorted(keys, spd_key), n - 1)
+    has = keys[spd_rec] == spd_key
+    np.maximum.at(max_speed, spd_rec[has], spd_kph[has])
+    counts = np.bincount(acc_rec * 9 + acc_band, minlength=9 * n).reshape(n, 9)
+    mileage = band_km[:, 0] + band_km[:, 1] + band_km[:, 2] + band_km[:, 3] + band_km[:, 4]
+
+    zones = {off: timezone(timedelta(seconds=off)) for off in set(offsets.tolist())}
+    return [HourlyRecord(log.device_id, datetime.fromtimestamp(key, zones[off]),
+                         m, mean, top, *c, *b)
+            for key, off, m, mean, top, c, b in zip(
+                keys.tolist(), offsets.tolist(), mileage.tolist(), mean_speed.tolist(),
+                max_speed.tolist(), counts.tolist(), band_km.tolist())]
 
 
 def hourly_to_row(rec: HourlyRecord) -> list:

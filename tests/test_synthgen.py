@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from drivescore.features import compute_feature_table
+from drivescore.ingest import iter_log_lines
 from drivescore.labeling import build_targets, classify_severity
 from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, LONG_TRIP_LO,
                                  RATIO_RANGES, SYNTH_EPOCH, DriverProfile,
@@ -132,6 +133,16 @@ class TestEventLogRealism:
         hourly = aggregate_hourly(log, trips, UTC)
         assert sum(r.mileage_km for r in hourly) == pytest.approx(
             sum(t.mileage_km for t in trips), rel=1e-6)
+
+    def test_no_event_is_written_twice(self):
+        """Seed 523 draws two identical acceleration packages for d00003 in
+        one second (2019-03-14T21:10:33Z); the log holds that event once."""
+        res = generate_population(SynthConfig(n_drivers=6, weeks=26, seed=523))
+        (log,) = list(iter_event_logs(res, limit=4))[3:]
+        lines = list(iter_log_lines([log]))
+        assert len(set(lines)) == len(lines)
+        assert sum('"ts":"2019-03-14T21:10:33Z","kind":"acceleration"' in ln
+                   for ln in lines) == 1
 
     def test_iter_event_logs_limit(self):
         res = generate_population(small_config(n_drivers=10, weeks=2))

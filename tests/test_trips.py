@@ -1,7 +1,10 @@
 """Trip segmentation and hourly aggregation."""
 import math
 import time
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from functools import cache
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +152,18 @@ class TestAggregateHourly:
         _, _, recs = self._pipeline(objs)
         assert recs[0].max_speed_kph == 131.0
 
+    def test_speed_reading_counts_in_an_hour_without_legs(self):
+        """An hour that only a harsh event opens still takes the hour's speed
+        readings, whether they come before or after that event."""
+        objs = drive(T0, 30, 60.0)
+        later = T0 + timedelta(hours=2)
+        objs += [{"device": "d1", "ts": iso(later), "kind": "speed", "speed_kph": 42.0},
+                 {"device": "d1", "ts": iso(later + timedelta(minutes=1)),
+                  "kind": "acceleration", "axis": "lateral", "accel_g": 0.45}]
+        _, _, recs = self._pipeline(objs)
+        assert [(r.hour_start.hour, r.mileage_km, r.s2_n, r.max_speed_kph)
+                for r in recs[1:]] == [(12, 0.0, 1, 42.0)]
+
     def test_accel_events_counted_by_band(self):
         objs = drive(T0, 30, 60.0)
         for minute, axis, g in ((5, "longitudinal", 0.35),
@@ -226,20 +241,165 @@ def tie_logs(draw):
     return draw(st.permutations(objs))
 
 
+def _first_trip_legs(log, trips):
+    """Reference for the one-leg-one-trip rule: trip index -> the km of its
+    legs, each leg of consecutive fixes going to the first trip whose span
+    holds both its fixes."""
+    fixes = [e for e in log.events if e.kind in ("position", "speed") and e.has_coords]
+    legs = {k: [] for k in range(len(trips))}
+    for a, b in zip(fixes, fixes[1:]):
+        for k, trip in enumerate(trips):
+            if trip.start <= a.timestamp and b.timestamp <= trip.end:
+                legs[k].append(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
+                break
+    return legs
+
+
 @settings(deadline=None, max_examples=200)
 @given(objs=tie_logs())
-def test_trip_path_is_every_fix_within_its_span(objs):
+def test_each_leg_counts_in_the_first_trip_holding_it(objs):
     log = parse_event_log(jsonl(objs).splitlines()).logs[0]
     trips = segment_trips(log)
     recs = aggregate_hourly(log, trips, UTC)
     assert sum(r.mileage_km for r in recs) == pytest.approx(
         sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
-    for trip in trips:
-        pts = [e for e in log.events if e.kind in ("position", "speed")
-               and e.has_coords and trip.start <= e.timestamp <= trip.end]
-        path = sum(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
-                   for a, b in zip(pts, pts[1:]))
-        assert trip.mileage_km == pytest.approx(path, rel=1e-12, abs=1e-12)
+    for trip, legs in zip(trips, _first_trip_legs(log, trips).values()):
+        assert trip.mileage_km == pytest.approx(sum(legs), rel=1e-12, abs=1e-12)
+
+
+def test_a_leg_in_the_second_two_trips_share_counts_once():
+    """Back-to-back trips meet at 10:05:00, where two fixes were taken: the
+    leg between those fixes counts in the first trip only."""
+    def at(minute, kind, **extra):
+        return {"device": "d1", "ts": iso(T0 + timedelta(minutes=minute)), "kind": kind,
+                **extra}
+    objs = [at(0, "ignition_on"), at(0, "position", lat=0.0, lon=0.0),
+            at(5, "position", lat=0.0, lon=0.01), at(5, "position", lat=0.0, lon=0.02),
+            at(5, "ignition_off"), at(5, "ignition_on"),
+            at(10, "position", lat=0.0, lon=0.03), at(10, "ignition_off")]
+    log = parse_objs(objs).logs[0]
+    trips = segment_trips(log)
+    leg_km = 0.01 * KM_PER_DEGREE
+    assert [t.mileage_km for t in trips] == pytest.approx([2 * leg_km, leg_km], rel=1e-9)
+    assert sum(t.mileage_km for t in trips) == pytest.approx(3.336, abs=1e-3)
+    recs = aggregate_hourly(log, trips, UTC)
+    assert sum(r.mileage_km for r in recs) == pytest.approx(3 * leg_km, rel=1e-9)
+
+
+# ------------------------------------------------ hours keyed by UTC instant
+
+BERLIN = ZoneInfo("Europe/Berlin")
+ZONES = ("UTC", "Europe/Berlin", "America/New_York", "Asia/Kolkata", "Australia/Lord_Howe")
+
+
+def test_fall_back_night_has_two_two_oclock_hours():
+    """A 3-hour drive over Berlin's 2019 fall-back: 02:00 CEST, the repeated
+    02:00 CET and 03:00 CET are three hours of 42.9 km each."""
+    start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
+    log = parse_objs(drive(start, 180, 42.9)).logs[0]
+    recs = aggregate_hourly(log, segment_trips(log), BERLIN)
+    assert [r.hour_start.isoformat() for r in recs] == [
+        "2019-10-27T02:00:00+02:00", "2019-10-27T02:00:00+01:00", "2019-10-27T03:00:00+01:00"]
+    assert [r.mileage_km for r in recs] == pytest.approx([42.9] * 3, rel=1e-9)
+
+
+def _tz(name):
+    return UTC if name == "UTC" else ZoneInfo(name)
+
+
+def _offset(tz, t):
+    return (T0 + timedelta(seconds=t - T0_S)).astimezone(tz).utcoffset()
+
+
+T0_S = int(T0.timestamp())
+
+
+@cache
+def _anchors(name):
+    """Seconds since T0 of the zone's offset changes in 2019-2021, or one instant."""
+    tz = _tz(name)
+    days = [int(datetime(2019, 1, 1, tzinfo=UTC).timestamp()) + 86400 * d for d in range(3 * 365)]
+    out = []
+    for lo, hi in zip(days, days[1:]):
+        if _offset(tz, lo) != _offset(tz, hi):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if _offset(tz, mid) == _offset(tz, lo) else (lo, mid)
+            out.append(hi - T0_S)
+    return out or [0]
+
+
+def _local_hour_key(tz, t):
+    """Reference key of epoch second ``t``: the UTC instant its local clock hour
+    starts at, under the offset in effect at ``t``."""
+    local = (T0 + timedelta(seconds=t - T0_S)).astimezone(tz)
+    return t - (local.minute * 60 + local.second)
+
+
+@st.composite
+def zone_logs(draw):
+    """A zone and 1-3 ignition trips near one of its offset changes, every time
+    on a whole minute; legs last 0 to 90 minutes, and a trip may start in the
+    second the previous one ended."""
+    name = draw(st.sampled_from(ZONES))
+    t = draw(st.sampled_from(_anchors(name))) + 60 * draw(st.integers(-300, 120))
+    objs, lon = [], 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        on = t
+        objs.append({"device": "d1", "ts": iso(T0 + timedelta(seconds=on)), "kind": "ignition_on"})
+        for _ in range(draw(st.integers(min_value=1, max_value=10))):
+            t += 60 * draw(st.sampled_from([0, 1, 5, 20, 45, 90]))
+            lon += draw(st.floats(min_value=0.0, max_value=0.3))
+            objs.append({"device": "d1", "ts": iso(T0 + timedelta(seconds=t)),
+                         "kind": "position", "lat": 0.0, "lon": lon})
+        t = max(t, on + 60)
+        objs.append({"device": "d1", "ts": iso(T0 + timedelta(seconds=t)), "kind": "ignition_off"})
+        t += 60 * draw(st.sampled_from([0, 0, 5, 30]))
+    return name, objs
+
+
+@settings(deadline=None, max_examples=150)
+@given(zone_logs())
+def test_hours_book_each_real_minute_once(case):
+    """Each record's mileage is what a minute-by-minute walk of the trips'
+    legs books to its hour: every record spans at most 3600 real seconds, no
+    real hour is booked twice, hourly mileage equals trip mileage, and no leg
+    counts in two trips."""
+    name, objs = case
+    tz = _tz(name)
+    log = parse_event_log(jsonl(objs).splitlines()).logs[0]  # a repeated fix is a duplicate
+    trips = segment_trips(log)
+    recs = aggregate_hourly(log, trips, tz)
+
+    legs = [km for k in _first_trip_legs(log, trips).values() for km in k]
+    fixes = [e for e in log.events if e.kind == "position"]
+    held = sum(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
+               for a, b in zip(fixes, fixes[1:])
+               if any(t.start <= a.timestamp and b.timestamp <= t.end for t in trips))
+    assert sum(t.mileage_km for t in trips) == pytest.approx(held, rel=1e-9, abs=1e-12)
+    assert sum(legs) == pytest.approx(held, rel=1e-9, abs=1e-12)
+
+    booked, minutes = {}, {}  # hour key -> km, and -> the minutes booked to it
+    for a, b in zip(fixes, fixes[1:]):
+        if not any(t.start <= a.timestamp and b.timestamp <= t.end for t in trips):
+            continue
+        km = haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
+        t0, t1 = int(a.timestamp.timestamp()), int(b.timestamp.timestamp())
+        if km == 0.0:
+            continue
+        for m in range(t0, max(t1, t0 + 1), 60):
+            key = _local_hour_key(tz, m)
+            booked[key] = booked.get(key, 0.0) + (km * 60 / (t1 - t0) if t1 > t0 else km)
+            minutes.setdefault(key, []).append(m)
+    keys = [int(r.hour_start.timestamp()) for r in recs]
+    assert keys == sorted(booked)
+    for r, key in zip(recs, keys):
+        assert (r.hour_start.minute, r.hour_start.second) == (0, 0)
+        assert r.hour_start.utcoffset() == _offset(tz, minutes[key][0])
+        assert max(minutes[key]) + 60 - min(minutes[key]) <= 3600
+        assert r.mileage_km == pytest.approx(booked[key], rel=1e-9, abs=1e-12)
+    assert sum(r.mileage_km for r in recs) == pytest.approx(
+        sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
 
 
 def _best_seconds_per_event(weeks):
@@ -247,8 +407,9 @@ def _best_seconds_per_event(weeks):
         SynthConfig(n_drivers=2, weeks=weeks, seed=0)), 1))
     best = math.inf
     for _ in range(3):
+        fresh = replace(log)  # a new log object, so its GPS legs are measured again
         t0 = time.perf_counter()
-        aggregate_hourly(log, segment_trips(log))
+        aggregate_hourly(fresh, segment_trips(fresh))
         best = min(best, time.perf_counter() - t0)
     return best / len(log.events)
 
