@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import timezone
 from importlib import resources
@@ -250,12 +251,12 @@ def _read_model_inputs(ns):
 def _build_design(table, claims, target):
     """Design over the model features that vary, plus the constant ones dropped."""
     y = build_targets(claims, table.device_ids, target)
-    values = table.columns(MODEL_FEATURE_NAMES)
+    values = table.model_values
     constant = np.all(values == values[:1], axis=0)
-    dropped = [n for n, c in zip(MODEL_FEATURE_NAMES, constant) if c]
-    design = DesignMatrix.from_values(values[:, ~constant], y,
-                                      [n for n in MODEL_FEATURE_NAMES if n not in dropped])
-    return design, dropped
+    kept = np.flatnonzero(~constant)
+    design = DesignMatrix.from_columns([values[:, j] for j in kept], y,
+                                       [MODEL_FEATURE_NAMES[j] for j in kept])
+    return design, [n for n, c in zip(MODEL_FEATURE_NAMES, constant) if c]
 
 
 def _eval_report_csv(reports, prov):
@@ -358,6 +359,9 @@ def cmd_premium(ns) -> int:
         raise ConfigError("predicted loss required (--loss or config key 'loss')")
     admin = _opt(ns, "admin", float, 0.0)
     margin = _opt(ns, "margin", float, 0.0)
+    for key, value in (("loss", loss), ("admin", admin), ("margin", margin)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     scores = read_csv_records(scores_path, ("device", "probability"),
                               lambda r: (r["device"], float(r["probability"])))
     out_rows = [[dev, p, compute_premium(p, loss, admin, margin)] for dev, p in scores]
@@ -398,7 +402,7 @@ def cmd_report(ns) -> int:
     table, claims, inputs = _read_model_inputs(ns)
     y = build_targets(claims, table.device_ids, "any")
     names = list(MODEL_FEATURE_NAMES)
-    values = table.columns(names)
+    values = table.model_values
     stat_rows, notes = descriptive_stats(values, y, names)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)

@@ -204,19 +204,20 @@ def correlation_matrix(values: np.ndarray,
     a diagnostic.  For the remaining block the matrix is symmetric with unit
     diagonal and positive semidefinite by construction.
     """
-    X = np.ascontiguousarray(values, dtype=float)
+    X = np.array(values, dtype=float, order="C")  # a copy, centred in place
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows for correlations")
     notes = []
-    centered = X - X.mean(axis=0)
     sd = X.std(axis=0, ddof=1)
+    X -= X.mean(axis=0)
     k = len(names)
     corr = np.full((k, k), np.nan)
     valid = sd > 0
     for j in np.flatnonzero(~valid):
         notes.append(f"column {names[j]!r} has zero variance; correlations undefined")
     if valid.any():
-        Z = centered[:, valid] / sd[valid]
+        Z = X[:, valid]
+        Z /= sd[valid]
         block = (Z.T @ Z) / (X.shape[0] - 1)
         np.fill_diagonal(block, 1.0)
         block = 0.5 * (block + block.T)

@@ -8,6 +8,7 @@ model commands read ``features.csv`` back as one columnar ``FeatureTable``.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, make_dataclass
 from datetime import date, datetime, timedelta, timezone, tzinfo
 from typing import Iterable, Sequence
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bands import ACCEL_BAND_NAMES
-from .fileio import read_csv_records
+from .fileio import iter_csv_records
 from .trips import HourlyRecord, Trip
 
 # Local-clock slices, half-open hour ranges.
@@ -38,8 +39,9 @@ SPEED_FEATURES = ("avg_sp", "max_sp", "max_ej_sp", "max_mj_sp", "max_n_sp",
 ACCEL_FEATURES = ACCEL_BAND_NAMES
 SPEEDING_FEATURES = ("sp1", "sp2", "sp3")
 
-FEATURE_NAMES = MILEAGE_FEATURES + SPEED_FEATURES + ACCEL_FEATURES + SPEEDING_FEATURES
 MODEL_FEATURE_NAMES = MILEAGE_FEATURES + SPEED_FEATURES + ACCEL_FEATURES
+# the model features lead the catalog, so their columns are one slice of a matrix
+FEATURE_NAMES = MODEL_FEATURE_NAMES + SPEEDING_FEATURES
 
 FEATURE_CSV_COLUMNS = ("device", "window_kind", "window_start", "quality_flags") + FEATURE_NAMES
 
@@ -290,28 +292,46 @@ class FeatureTable:
     quality_flags: tuple[tuple[str, ...], ...]
     values: np.ndarray
 
+    @property
+    def model_values(self) -> np.ndarray:
+        """View of the ``MODEL_FEATURE_NAMES`` columns of ``values``, in order."""
+        return self.values[:, :len(MODEL_FEATURE_NAMES)]
+
     def columns(self, names: Sequence[str]) -> np.ndarray:
         """C-contiguous copy of the named columns, in the given order."""
         return np.ascontiguousarray(self.values[:, [FEATURE_NAMES.index(n) for n in names]])
 
 
-def _feature_row(row: dict[str, str]) -> tuple:
-    kind = row["window_kind"]
-    if kind not in WINDOW_KINDS:
-        raise ValueError(f"unknown window kind: {kind!r}")
-    return (row["device"], kind, datetime.fromisoformat(row["window_start"]),
-            tuple(f for f in row["quality_flags"].split(";") if f),
-            [float(row[name]) for name in FEATURE_NAMES])
-
-
 def read_feature_table(path) -> FeatureTable:
-    """Read a features CSV into a FeatureTable.
+    """Read a features CSV into a FeatureTable, one row at a time.
 
+    Feature cells go through ``float`` straight into one flat float64
+    buffer that becomes ``values``, so no per-row object outlives its row;
+    equal window kinds, starts and flag cells share one parsed object.
     Missing columns, a short row, an unknown window kind, an unparseable
     window start or a non-numeric feature cell raise ValueError naming the
     file and data row.
     """
-    rows = read_csv_records(path, FEATURE_CSV_COLUMNS, _feature_row)
-    devices, kinds, starts, flags, values = zip(*rows) if rows else ((),) * 5
-    return FeatureTable(devices, kinds, starts, flags,
-                        np.array(values, dtype=float).reshape(len(rows), len(FEATURE_NAMES)))
+    values = array("d")
+    kinds = {k: k for k in WINDOW_KINDS}
+    starts: dict[str, datetime] = {}
+    flag_sets: dict[str, tuple[str, ...]] = {}
+
+    def parse(cells: list[str]) -> tuple:
+        device, kind, start, flags = cells[:4]
+        if kind not in kinds:
+            raise ValueError(f"unknown window kind: {kind!r}")
+        if start not in starts:
+            starts[start] = datetime.fromisoformat(start)
+        if flags not in flag_sets:
+            flag_sets[flags] = tuple(f for f in flags.split(";") if f)
+        values.extend(map(float, cells[4:]))
+        return device, kinds[kind], starts[start], flag_sets[flags]
+
+    columns: tuple[list, ...] = ([], [], [], [])
+    for meta in iter_csv_records(path, FEATURE_CSV_COLUMNS, parse):
+        for column, cell in zip(columns, meta):
+            column.append(cell)
+    n = len(columns[0])
+    matrix = np.frombuffer(values, dtype=float).reshape(n, len(FEATURE_NAMES))
+    return FeatureTable(*map(tuple, columns), matrix)

@@ -6,8 +6,9 @@ import hashlib
 import io
 import os
 import tempfile
+from itertools import dropwhile
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import __version__
 
@@ -63,7 +64,7 @@ def fmt_float(x: float) -> str:
     x = float(x)  # numpy scalars repr as np.float64(...), plain floats don't
     if x != x:  # NaN -> empty cell
         return ""
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):  # so +-inf falls through to repr
         return str(int(x))
     return repr(x)
 
@@ -80,38 +81,38 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]],
     return buf.getvalue()
 
 
-def _dict_reader(f) -> csv.DictReader:
-    """Rows of an open CSV as dicts, skipping provenance/comment lines."""
-    return csv.DictReader(ln for ln in f if not ln.startswith("#"))
+def iter_csv_records(path: str | Path, columns: Sequence[str],
+                     parse_row: Callable[[list[str]], T]) -> Iterator[T]:
+    """Parse the data rows of a CSV that must carry ``columns``, one at a time.
 
-
-def read_csv_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a CSV, skipping leading provenance/comment lines. Returns (header, dict rows)."""
+    ``parse_row`` gets each row's cells in ``columns`` order.  The ``#``
+    provenance lines before the header and blank rows are skipped; a data
+    row whose first cell starts with ``#`` is read like any other.  A
+    missing column, a short row, or a row that ``parse_row`` rejects with
+    TypeError or ValueError raises ValueError naming the file and data row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = _dict_reader(f)
-        rows = list(reader)
-    return list(reader.fieldnames or []), rows
+        reader = csv.reader(dropwhile(lambda ln: ln.startswith("#"), f))
+        header = next(reader, [])
+        index = {name: j for j, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+        picks = [index[c] for c in columns]
+        width = len(header)
+        for i, row in enumerate(filter(None, reader), start=1):
+            try:
+                if len(row) < width:
+                    raise ValueError(f"short row: fewer than {width} cells")
+                record = parse_row([row[j] for j in picks])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: data row {i}: {exc}") from None
+            yield record
 
 
 def read_csv_records(path: str | Path, columns: Sequence[str],
                      parse_row: Callable[[dict[str, str]], T]) -> list[T]:
-    """Parse every data row of a CSV that must carry ``columns``, one row at a time.
-
-    A missing column, a short row, or a row that ``parse_row`` rejects with
-    TypeError or ValueError raises ValueError naming the file and data row.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = _dict_reader(f)
-        header = reader.fieldnames or []
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
-        out = []
-        for i, row in enumerate(reader, start=1):
-            try:
-                if None in row.values():  # csv.DictReader's filler for absent cells
-                    raise ValueError(f"short row: fewer than {len(header)} cells")
-                out.append(parse_row(row))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: data row {i}: {exc}") from None
-    return out
+    """Every data row of a CSV that must carry ``columns``, parsed from a dict
+    of those columns; errors as in ``iter_csv_records``."""
+    return list(iter_csv_records(path, columns,
+                                 lambda cells: parse_row(dict(zip(columns, cells)))))

@@ -87,15 +87,17 @@ class DesignMatrix:
         if missing:
             raise MissingFeatureError(missing)
         values = np.array([[float(row[n]) for n in names] for row in rows], dtype=float)
-        return cls.from_values(values.reshape(len(rows), len(names)), y, names)
+        return cls.from_columns(values.reshape(len(rows), len(names)).T, y, names)
 
     @classmethod
-    def from_values(cls, values: np.ndarray, y: Sequence[int],
-                    feature_names: Sequence[str]) -> "DesignMatrix":
-        """Design from an (observations x features) matrix; X is C-contiguous."""
-        X = np.empty((values.shape[0], values.shape[1] + 1), dtype=float)
+    def from_columns(cls, columns: Sequence[np.ndarray], y: Sequence[int],
+                     feature_names: Sequence[str]) -> "DesignMatrix":
+        """Design from one array of observations per feature, such as column
+        views of a larger matrix; X is C-contiguous and filled once."""
+        X = np.empty((len(y), len(columns) + 1), dtype=float)
         X[:, 0] = 1.0
-        X[:, 1:] = values
+        for j, col in enumerate(columns, start=1):
+            X[:, j] = col
         return cls(tuple(feature_names), X, np.asarray(y, dtype=float))
 
     @property
@@ -359,6 +361,8 @@ def compute_premium(p_accident: float, predicted_loss: float,
     """Premium = accident probability x predicted loss + admin + margin."""
     if not 0.0 <= p_accident <= 1.0:
         raise ValueError("p_accident must be within [0, 1]")
+    if not all(map(math.isfinite, (predicted_loss, admin_costs, margin))):
+        raise ValueError("monetary inputs must be finite")
     if predicted_loss < 0 or admin_costs < 0 or margin < 0:
         raise ValueError("monetary inputs must be non-negative")
     return p_accident * predicted_loss + admin_costs + margin

@@ -7,6 +7,7 @@ accident for modeling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,9 @@ class ClaimRecord:
     culprit: bool
 
     def __post_init__(self):
+        for name in ("loss_size", "ins_sum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ClaimValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.ins_sum <= 0:
             raise ClaimValidationError(f"ins_sum must be positive, got {self.ins_sum}")
         if self.loss_size < 0:

@@ -1,6 +1,8 @@
-"""Shared fixtures: event-stream helpers and cached synthetic artifacts."""
+"""Shared fixtures: event-stream and CSV helpers and cached synthetic artifacts."""
+import csv
 import json
 import time
+from itertools import dropwhile
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,12 @@ GOLDEN_WEEK = DATA_DIR / "golden_week.jsonl"
 
 def run_cli(*args) -> int:
     return cli_main([str(a) for a in args])
+
+
+def csv_rows(path) -> list[dict[str, str]]:
+    """Data rows of a CSV artifact as dicts, after its leading # provenance lines."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(csv.DictReader(dropwhile(lambda ln: ln.startswith("#"), f)))
 
 
 def jsonl(objs) -> str:

@@ -18,13 +18,13 @@ from drivescore.evaluation import roc_auc
 from drivescore.features import (FEATURE_CSV_COLUMNS, FEATURE_NAMES,
                                  FeatureVector, Window, compute_feature_table,
                                  feature_to_row)
-from drivescore.fileio import read_csv_rows, render_csv
+from drivescore.fileio import render_csv
 from drivescore.glm import DesignMatrix, fit_logistic, load_reference_models, \
     predict_proba
 from drivescore.ingest import parse_event_log
 from drivescore.labeling import ClaimRecord, classify_severity
 from drivescore.trips import aggregate_hourly, segment_trips
-from conftest import GOLDEN_WEEK, run_cli
+from conftest import GOLDEN_WEEK, csv_rows, run_cli
 
 UTC = timezone.utc
 RECOVERY_SEEDS = tuple(range(20))
@@ -219,7 +219,7 @@ def test_criterion_04_planted_coefficients_recovered(closed_loop):
 
 
 def _any_row(d):
-    _, rows = read_csv_rows(d / "eval_report.csv")
+    rows = csv_rows(d / "eval_report.csv")
     (row,) = [r for r in rows if r["target"] == "any"]
     return float(row["auc_in_sample"]), float(row["auc_out_of_sample"])
 
@@ -238,7 +238,7 @@ def test_criterion_05_auc_bracket_and_generalization(closed_loop):
 def test_criterion_06_acceleration_ablation(closed_loop):
     positive = 0
     for seed in RECOVERY_SEEDS:
-        _, rows = read_csv_rows(closed_loop(seed) / "ablation.csv")
+        rows = csv_rows(closed_loop(seed) / "ablation.csv")
         assert len(rows) == 4
         if min(float(r["difference"]) for r in rows) > 0.0:
             positive += 1
@@ -350,7 +350,7 @@ def test_criterion_09_reference_model_scoring(tmp_path):
     assert run_cli("score", "--model", "paper-reference", "--target", "any",
                    "--features", tmp_path / "features.csv",
                    "--out-dir", tmp_path) == 0
-    _, rows = read_csv_rows(tmp_path / "scores.csv")
+    rows = csv_rows(tmp_path / "scores.csv")
     (row,) = rows
     got = float(row["probability"])
     want = 1.0 / (1.0 + math.exp(2.880))

@@ -1,13 +1,16 @@
 """Driving-style feature catalog semantics."""
+import tempfile
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivescore.features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS,
-                                 FEATURE_NAMES, MODEL_FEATURE_NAMES, FeatureVector,
-                                 Window, compute_features, compute_feature_table,
-                                 feature_to_row, is_holiday_class, lifetime_window,
+                                 FEATURE_NAMES, MODEL_FEATURE_NAMES, WINDOW_KINDS,
+                                 FeatureVector, Window, compute_features,
+                                 compute_feature_table, feature_to_row,
+                                 is_holiday_class, lifetime_window,
                                  load_holiday_calendar, read_feature_table,
                                  weekly_windows)
 from drivescore.fileio import render_csv
@@ -213,6 +216,56 @@ class TestReadFeatureTable:
         row = [v for c, v in zip(FEATURE_CSV_COLUMNS, self._row()) if c != "avg_sp"]
         with pytest.raises(ValueError, match="avg_sp"):
             read_feature_table(self._write(tmp_path, [row], header))
+
+
+_STARTS = st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1),
+                       timezones=st.sampled_from([UTC, timezone(timedelta(hours=5, minutes=30)),
+                                                  timezone(-timedelta(hours=3))]))
+# ids carry the CSV delimiter, quote and flag separator, and may start with #
+_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from(',";#'),
+               max_size=12)
+_FLAGS = st.lists(st.sampled_from(("no_mileage", "no_trips")), unique=True)
+
+
+@st.composite
+def feature_vectors(draw):
+    start = draw(_STARTS)
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(FEATURE_NAMES), max_size=len(FEATURE_NAMES)))
+    return FeatureVector(device_id=draw(_IDS),
+                         window=Window(draw(st.sampled_from(WINDOW_KINDS)), start,
+                                       start + timedelta(days=7)),
+                         quality_flags=tuple(sorted(draw(_FLAGS))),
+                         **dict(zip(FEATURE_NAMES, values)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(feature_vectors(), max_size=5))
+def test_feature_csv_round_trip(vectors):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "features.csv"
+        path.write_text(render_csv(FEATURE_CSV_COLUMNS, [feature_to_row(fv) for fv in vectors],
+                                   "# provenance"), encoding="utf-8")
+        table = read_feature_table(path)
+    assert table.device_ids == tuple(fv.device_id for fv in vectors)
+    assert table.window_kinds == tuple(fv.window.kind for fv in vectors)
+    assert [s.isoformat() for s in table.window_starts] == \
+        [fv.window.start.isoformat() for fv in vectors]
+    assert table.quality_flags == tuple(fv.quality_flags for fv in vectors)
+    assert table.values.shape == (len(vectors), len(FEATURE_NAMES))
+    assert table.values.flags.c_contiguous
+    # exact equality; -0.0 is written as "0" and reads back as 0.0, which == -0.0
+    assert table.values.tolist() == [[getattr(fv, n) for n in FEATURE_NAMES] for fv in vectors]
+
+
+def test_header_only_features_csv(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text(render_csv(FEATURE_CSV_COLUMNS, [], "# provenance"))
+    table = read_feature_table(path)
+    assert table.device_ids == table.window_kinds == table.window_starts == ()
+    assert table.quality_flags == ()
+    assert table.values.shape == (0, len(FEATURE_NAMES))
+    assert table.model_values.shape == (0, len(MODEL_FEATURE_NAMES))
 
 
 def test_catalog_layout():

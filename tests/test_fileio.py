@@ -1,7 +1,8 @@
-"""Atomic file writes."""
+"""Atomic file writes, number formatting and CSV reading."""
 import pytest
 
-from drivescore.fileio import atomic_write_chunks
+from drivescore.fileio import (atomic_write_chunks, fmt_float, iter_csv_records,
+                               read_csv_records)
 
 
 class Boom(Exception):
@@ -34,3 +35,38 @@ def test_failing_chunks_leave_an_existing_file_unchanged(tmp_path):
         atomic_write_chunks(target, _chunks_then_raise())
     assert target.read_bytes() == b"old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("x,want", [
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), ""),
+    (-0.0, "0"), (3.0, "3"), (0.1, "0.1"), (1e15, "1000000000000000.0"), (-2.5e20, "-2.5e+20")])
+def test_fmt_float(x, want):
+    assert fmt_float(x) == want
+    if want:
+        assert float(want) == x
+
+
+def test_only_leading_hash_lines_are_comments(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# provenance\n# more\na,b\n#1,2\n\n3,4\n")
+    assert read_csv_records(path, ("b", "a"), lambda r: (r["a"], r["b"])) == \
+        [("#1", "2"), ("3", "4")]
+
+
+def test_cells_come_in_column_order(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,b,a\n1,2,3,extra\n")
+    assert list(iter_csv_records(path, ("a", "b"), tuple)) == [("3", "2")]
+
+
+@pytest.mark.parametrize("text,match", [
+    ("a\n1\n", "missing columns: b"),
+    ("a,b\n1,2\n3\n", "data row 2: short row"),
+    ("a,b\n1,2\n\n3,x\n", "data row 2: could not convert"),
+])
+def test_errors_name_file_and_data_row(tmp_path, text, match):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as info:
+        read_csv_records(path, ("a", "b"), lambda r: float(r["b"]))
+    assert str(info.value).startswith(f"{path}: ")

@@ -210,6 +210,15 @@ def test_compute_premium():
         compute_premium(0.5, -1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("p,loss,admin,margin", [
+    (float("nan"), 1.0, 0.0, 0.0), (0.5, float("inf"), 0.0, 0.0),
+    (0.5, float("nan"), 0.0, 0.0), (0.5, 1.0, float("inf"), 0.0),
+    (0.5, 1.0, 0.0, float("nan"))])
+def test_compute_premium_rejects_non_finite(p, loss, admin, margin):
+    with pytest.raises(ValueError):
+        compute_premium(p, loss, admin, margin)
+
+
 def test_model_dict_round_trip():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(100, 2))

@@ -45,6 +45,21 @@ class TestClaimValidation:
         with pytest.raises(ClaimValidationError):
             claim(10.0, ins=0.0)
 
+    @pytest.mark.parametrize("loss,ins", [
+        (float("nan"), 100_000.0), (float("inf"), 100_000.0),
+        (10.0, float("nan")), (10.0, float("inf"))])
+    def test_non_finite_amounts(self, loss, ins):
+        # nan compares false with every bound, and x / inf is 0, so neither
+        # would fail the sign checks: a nan loss classed "strong" and an inf
+        # insured sum "none"
+        with pytest.raises(ClaimValidationError, match="must be finite"):
+            claim(loss, ins=ins)
+
+    def test_non_finite_cell_fails_the_row(self):
+        row = {"device": "d1", "loss_size": "nan", "ins_sum": "1000", "culprit": "1"}
+        with pytest.raises(ClaimValidationError, match="loss_size must be finite"):
+            claim_from_row(row)
+
 
 class TestBuildTargets:
     def test_severity_targets_are_exact_class_hits(self):

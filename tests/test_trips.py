@@ -9,6 +9,7 @@ from zoneinfo import ZoneInfo
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivescore.features import compute_feature_table
 from drivescore.ingest import parse_event_log
 from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
@@ -301,6 +302,27 @@ def test_fall_back_night_has_two_two_oclock_hours():
     assert [r.hour_start.isoformat() for r in recs] == [
         "2019-10-27T02:00:00+02:00", "2019-10-27T02:00:00+01:00", "2019-10-27T03:00:00+01:00"]
     assert [r.mileage_km for r in recs] == pytest.approx([42.9] * 3, rel=1e-9)
+
+
+def test_fall_back_week_features():
+    """Weekly Berlin features of the week holding the fall-back drive.
+
+    The drive gives three local hours of 42.9 km, all on Sunday 2019-10-27:
+    02:00+02:00, 02:00+01:00 and 03:00+01:00.  So mileage = 3 x 42.9 =
+    128.7 km over one covered day, d_total_m = 128.7 / 1.  Both 02:00 hours
+    and the 03:00 hour fall in the night slice (00-06 local), so
+    d_night_m = 128.7 / 1 as well: the repeated hour is night mileage of its
+    own, not folded into the first.
+    """
+    start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
+    log = parse_objs(drive(start, 180, 42.9)).logs[0]
+    trips = segment_trips(log)
+    (fv,) = compute_feature_table(aggregate_hourly(log, trips, BERLIN), trips,
+                                  "weekly", tz=BERLIN)
+    assert fv.window.start.isoformat() == "2019-10-21T00:00:00+02:00"
+    assert fv.mileage == pytest.approx(128.7, rel=1e-9)
+    assert fv.d_total_m == pytest.approx(128.7, rel=1e-9)
+    assert fv.d_night_m == pytest.approx(128.7, rel=1e-9)
 
 
 def _tz(name):
