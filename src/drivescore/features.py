@@ -307,26 +307,21 @@ def read_feature_table(path) -> FeatureTable:
 
     Feature cells go through ``float`` straight into one flat float64
     buffer that becomes ``values``, so no per-row object outlives its row;
-    equal window kinds, starts and flag cells share one parsed object.
+    every row's window kind is the shared ``WINDOW_KINDS`` string.
     Missing columns, a short row, an unknown window kind, an unparseable
     window start or a non-numeric feature cell raise ValueError naming the
     file and data row.
     """
     values = array("d")
     kinds = {k: k for k in WINDOW_KINDS}
-    starts: dict[str, datetime] = {}
-    flag_sets: dict[str, tuple[str, ...]] = {}
 
     def parse(cells: list[str]) -> tuple:
         device, kind, start, flags = cells[:4]
         if kind not in kinds:
             raise ValueError(f"unknown window kind: {kind!r}")
-        if start not in starts:
-            starts[start] = datetime.fromisoformat(start)
-        if flags not in flag_sets:
-            flag_sets[flags] = tuple(f for f in flags.split(";") if f)
         values.extend(map(float, cells[4:]))
-        return device, kinds[kind], starts[start], flag_sets[flags]
+        return (device, kinds[kind], datetime.fromisoformat(start),
+                tuple(f for f in flags.split(";") if f))
 
     columns: tuple[list, ...] = ([], [], [], [])
     for meta in iter_csv_records(path, FEATURE_CSV_COLUMNS, parse):

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import tracemalloc
+from itertools import dropwhile
 
 import pytest
 
@@ -158,9 +159,9 @@ class TestEventCommandMemory:
 
 
 # Traced peak bytes per feature row of a whole command, measured on the
-# 5000-row closed-loop book (Python 3.11): report 1098, score 834.  The
-# bounds add 30%.  With a dict, a tuple and a list of floats per row held
-# until the matrix was built they were 1926 and 1893.
+# 5000-row closed-loop book (Python 3.11): report 1146, score 883.  The
+# bounds leave about 25% headroom.  With a dict, a tuple and a list of floats
+# per row held until the matrix was built they were 1926 and 1893.
 REPORT_PEAK_B_PER_ROW = 1430
 SCORE_PEAK_B_PER_ROW = 1090
 
@@ -282,7 +283,7 @@ class TestFitAndReport:
 def _features_sample(src, dst, n_rows=10, drop=None, **cells):
     """First rows of a features CSV, with one column dropped or row 3 edited."""
     with open(src, newline="", encoding="utf-8") as f:
-        reader = csv.reader(ln for ln in f if not ln.startswith("#"))
+        reader = csv.reader(dropwhile(lambda ln: ln.startswith("#"), f))
         header = next(reader)
         rows = [row for _, row in zip(range(n_rows), reader)]
     for name, value in cells.items():

@@ -102,6 +102,18 @@ class TestDesignMatrix:
         with pytest.raises(MissingFeatureError):
             DesignMatrix.from_rows([{"a": 1.0}, {}], [0, 1], ("a",))
 
+    @pytest.mark.parametrize("rows,y,names", [
+        ([{"a": 1.0}], [0, 1, 0], ("a",)), ([{"a": 1.0}, {"a": 2.0}], [1], ("a",)),
+        ([{}], [0, 1], ())])
+    def test_from_rows_rejects_row_count_other_than_target(self, rows, y, names):
+        with pytest.raises(ValueError, match="design shapes inconsistent"):
+            DesignMatrix.from_rows(rows, y, names)
+
+    def test_from_columns_rejects_column_length_other_than_target(self):
+        with pytest.raises(ValueError, match="design shapes inconsistent"):
+            DesignMatrix.from_columns([np.array([1.0, 2.0]), np.array([3.0])],
+                                      [0, 1], ("a", "b"))
+
     def test_drop_and_columns(self):
         d = design([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         kept = d.drop(["x0"])
