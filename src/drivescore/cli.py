@@ -9,6 +9,11 @@ reproduce identical bytes.
 Exit codes: 0 success, 2 missing input file, 3 estimation failure
 (separation, collinearity, single-class target), 4 malformed configuration,
 1 any other data error.
+
+Every command runs in a process of its own, so start-up counts: only the
+numpy-free layers (ingest, fileio, labeling) are imported here, and each
+command imports the numpy-backed layers it calls in its own body.  parse,
+label and premium never load numpy.
 """
 from __future__ import annotations
 
@@ -22,34 +27,14 @@ from importlib import resources
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
-import numpy as np
-
 from . import __version__
-from .evaluation import (AblationResult, DegenerateLabelsError, SplitSpec,
-                         ablation_compare, correlation_matrix,
-                         descriptive_stats, evaluate_model)
-from .features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES,
-                       MILEAGE_FEATURES, MODEL_FEATURE_NAMES, SPEED_FEATURES,
-                       WINDOW_KINDS, compute_feature_table, feature_to_row,
-                       load_holiday_calendar, read_feature_table)
-from .fileio import (atomic_write_chunks, atomic_write_text, provenance_line,
-                     read_csv_records, render_csv, sha256_digest)
-from .glm import (CollinearityError, DesignMatrix, SeparationError,
-                  SingleClassError, backward_eliminate, compute_premium,
-                  load_reference_models, model_from_dict, model_to_dict,
-                  predict_proba)
+from .fileio import (WINDOW_KINDS, atomic_write_chunks, atomic_write_text,
+                     provenance_line, read_csv_records, render_csv, sha256_digest)
 from .ingest import (EventValidationError, iter_log_lines, parse_event_file,
                      validate_log)
 from .labeling import (CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
-                       ClaimValidationError, build_targets, claim_from_row,
-                       classify_severity)
-from .synthgen import SynthConfig, generate_population, iter_event_logs
-from .trips import (DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS,
-                    TRIP_CSV_COLUMNS, aggregate_hourly, hourly_from_row,
-                    hourly_to_row, segment_trips, trip_from_row, trip_to_row)
-
-FEATURE_GROUPS = {"accel": ACCEL_FEATURES, "speed": SPEED_FEATURES,
-                  "mileage": MILEAGE_FEATURES}
+                       ClaimValidationError, EstimationError, build_targets,
+                       claim_from_row, classify_severity, compute_premium)
 
 REFERENCE_MODEL_TOKEN = "paper-reference"
 
@@ -128,6 +113,8 @@ def _tzinfo(name: str):
 
 
 def _calendar(ns):
+    from .features import load_holiday_calendar
+
     spec = _opt(ns, "holidays", str, "default")
     if spec == "none":
         return frozenset()
@@ -180,6 +167,10 @@ def cmd_parse(ns) -> int:
 
 
 def cmd_aggregate(ns) -> int:
+    from .trips import (DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS,
+                        TRIP_CSV_COLUMNS, aggregate_hourly, hourly_to_row,
+                        segment_trips, trip_to_row)
+
     events_path = _require(ns.events, "events file")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
     gap = _opt(ns, "gap_threshold_s", float, DEFAULT_GAP_THRESHOLD_S)
@@ -207,6 +198,11 @@ def cmd_aggregate(ns) -> int:
 
 
 def cmd_features(ns) -> int:
+    from .features import (FEATURE_CSV_COLUMNS, compute_feature_table,
+                           feature_to_row)
+    from .trips import (HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS, hourly_from_row,
+                        trip_from_row)
+
     hourly_path = _require(ns.hourly, "hourly CSV")
     trips_path = _require(ns.trips, "trips CSV")
     window = _opt(ns, "window", str, "lifetime")
@@ -241,6 +237,8 @@ def cmd_label(ns) -> int:
 
 def _read_model_inputs(ns):
     """The feature table, the claims, and both files' digests for provenance."""
+    from .features import read_feature_table
+
     features_path = _require(ns.features, "features CSV")
     claims_path = _require(ns.claims, "claims CSV")
     inputs = {"features": sha256_digest(features_path),
@@ -250,6 +248,11 @@ def _read_model_inputs(ns):
 
 def _build_design(table, claims, target):
     """Design over the model features that vary, plus the constant ones dropped."""
+    import numpy as np
+
+    from .features import MODEL_FEATURE_NAMES
+    from .glm import DesignMatrix
+
     y = build_targets(claims, table.device_ids, target)
     values = table.model_values
     constant = np.all(values == values[:1], axis=0)
@@ -275,6 +278,9 @@ def _fit_targets(ns, write_models: bool):
     Writes ``eval_report.csv`` and, with ``write_models``, one model JSON per
     target; returns the reports.
     """
+    from .evaluation import SplitSpec, evaluate_model
+    from .glm import backward_eliminate, model_to_dict
+
     table, claims, inputs = _read_model_inputs(ns)
     alpha = _opt(ns, "alpha", float, 0.05)
     spec = SplitSpec(test_fraction=_opt(ns, "test_fraction", float, 0.10),
@@ -295,6 +301,7 @@ def _fit_targets(ns, write_models: bool):
             payload["dropped_columns"] = dropped
             payload["provenance"] = _provenance_obj(spec.seed, inputs)
             _write_json(out_dir / f"model_{target}.json", payload)
+        del design, selected, model  # so the next target's design is built alone
     atomic_write_text(out_dir / "eval_report.csv",
                       _eval_report_csv(reports, provenance_line(spec.seed, inputs)))
     return reports
@@ -316,6 +323,8 @@ def cmd_evaluate(ns) -> int:
 
 def _load_scoring_model(ns):
     """FittedModel from a JSON file, or the published bundle by token."""
+    from .glm import load_reference_models, model_from_dict
+
     if ns.model == REFERENCE_MODEL_TOKEN:
         target = ns.target or "any"
         if target not in TARGETS:
@@ -334,6 +343,11 @@ def _load_scoring_model(ns):
 
 
 def cmd_score(ns) -> int:
+    import numpy as np
+
+    from .features import FEATURE_NAMES, read_feature_table
+    from .glm import predict_proba
+
     features_path = _require(ns.features, "features CSV")
     model, model_digest = _load_scoring_model(ns)
     table = read_feature_table(features_path)
@@ -362,6 +376,8 @@ def cmd_premium(ns) -> int:
     for key, value in (("loss", loss), ("admin", admin), ("margin", margin)):
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+        if value < 0:
+            raise ConfigError(f"{key} must be non-negative, got {value}")
     scores = read_csv_records(scores_path, ("device", "probability"),
                               lambda r: (r["device"], float(r["probability"])))
     out_rows = [[dev, p, compute_premium(p, loss, admin, margin)] for dev, p in scores]
@@ -375,9 +391,12 @@ def cmd_premium(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
+    from .evaluation import ablation_compare
+    from .features import FEATURE_GROUPS
+
     table, claims, inputs = _read_model_inputs(ns)
     group_spec = _opt(ns, "group", str, "accel")
-    results: list[AblationResult] = []
+    results = []
     for target in TARGETS:
         design, _ = _build_design(table, claims, target)
         if group_spec in FEATURE_GROUPS:
@@ -399,6 +418,9 @@ def cmd_ablate(ns) -> int:
 
 
 def cmd_report(ns) -> int:
+    from .evaluation import correlation_matrix, descriptive_stats
+    from .features import MODEL_FEATURE_NAMES
+
     table, claims, inputs = _read_model_inputs(ns)
     y = build_targets(claims, table.device_ids, "any")
     names = list(MODEL_FEATURE_NAMES)
@@ -427,6 +449,9 @@ def cmd_report(ns) -> int:
 
 
 def cmd_synth(ns) -> int:
+    from .features import FEATURE_CSV_COLUMNS, feature_to_row
+    from .synthgen import SynthConfig, generate_population, iter_event_logs
+
     n = _opt(ns, "n", int, None)
     if n is None:
         raise ConfigError("population size required (--n or config key 'n')")
@@ -544,8 +569,7 @@ def main(argv=None) -> int:
     except InputMissingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SeparationError, CollinearityError, SingleClassError,
-            DegenerateLabelsError) as exc:
+    except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:

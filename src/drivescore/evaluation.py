@@ -13,9 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from .glm import DesignMatrix, FittedModel, fit_logistic, mcfadden_r2, _sigmoid
+from .labeling import EstimationError
 
 
-class DegenerateLabelsError(ValueError):
+class DegenerateLabelsError(EstimationError):
     """AUC is undefined when only one class is present."""
 
 

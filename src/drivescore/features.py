@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bands import ACCEL_BAND_NAMES
-from .fileio import iter_csv_records
+from .fileio import WINDOW_KINDS, iter_csv_records
 from .trips import HourlyRecord, Trip
 
 # Local-clock slices, half-open hour ranges.
@@ -45,7 +45,9 @@ FEATURE_NAMES = MODEL_FEATURE_NAMES + SPEEDING_FEATURES
 
 FEATURE_CSV_COLUMNS = ("device", "window_kind", "window_start", "quality_flags") + FEATURE_NAMES
 
-WINDOW_KINDS = ("weekly", "lifetime")
+# the groups ``ablate --group`` names
+FEATURE_GROUPS = {"accel": ACCEL_FEATURES, "speed": SPEED_FEATURES,
+                  "mileage": MILEAGE_FEATURES}
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ from . import __version__
 
 PROVENANCE_PREFIX = "# drivescore"
 
+# The window_kind values of features.csv, here so the CLI can offer them as
+# choices without importing the numpy-backed features layer.
+WINDOW_KINDS = ("weekly", "lifetime")
+
 T = TypeVar("T")
 
 

@@ -1,5 +1,5 @@
-"""Logistic regression: IRLS fitting, Wald inference, backward elimination,
-scoring and premium arithmetic.
+"""Logistic regression: IRLS fitting, Wald inference, backward elimination
+and scoring.
 
 Estimation is plain Newton/IRLS on the Bernoulli log-likelihood with
 step-halving, no regularization: coefficients stay in raw feature units so
@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
+from .labeling import EstimationError
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -27,25 +28,21 @@ SEPARATION_BETA_BOUND = 30.0  # on |beta_j| * column scale
 INTERCEPT_NAME = "const"
 
 
-class LogisticError(ValueError):
-    """Base class for estimation failures."""
-
-
-class SeparationError(LogisticError):
+class SeparationError(EstimationError):
     def __init__(self, columns: Sequence[str]):
         self.columns = tuple(columns)
         super().__init__("complete or quasi-complete separation; diverging "
                          f"coefficients on columns: {', '.join(self.columns)}")
 
 
-class CollinearityError(LogisticError):
+class CollinearityError(EstimationError):
     def __init__(self, columns: Sequence[str]):
         self.columns = tuple(columns)
         super().__init__("singular information matrix; linearly dependent "
                          f"columns: {', '.join(self.columns)}")
 
 
-class SingleClassError(LogisticError):
+class SingleClassError(EstimationError):
     def __init__(self, target: str = ""):
         name = f" {target!r}" if target else ""
         super().__init__(f"target{name} needs at least one positive and one "
@@ -359,18 +356,6 @@ def mcfadden_r2(model_loglik: float, null_loglik: float) -> float:
     if null_loglik == 0.0:
         raise ValueError("McFadden R^2 undefined: null log-likelihood is zero")
     return 1.0 - model_loglik / null_loglik
-
-
-def compute_premium(p_accident: float, predicted_loss: float,
-                    admin_costs: float, margin: float) -> float:
-    """Premium = accident probability x predicted loss + admin + margin."""
-    if not 0.0 <= p_accident <= 1.0:
-        raise ValueError("p_accident must be within [0, 1]")
-    if not all(map(math.isfinite, (predicted_loss, admin_costs, margin))):
-        raise ValueError("monetary inputs must be finite")
-    if predicted_loss < 0 or admin_costs < 0 or margin < 0:
-        raise ValueError("monetary inputs must be non-negative")
-    return p_accident * predicted_loss + admin_costs + margin
 
 
 def model_to_dict(model: FittedModel) -> dict:

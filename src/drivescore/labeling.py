@@ -1,9 +1,11 @@
-"""Accident-severity labeling from claims and binary target construction.
+"""Accident-severity labeling from claims, binary target construction and
+premium arithmetic.
 
 A claim's severity class comes from its loss-to-insured-sum ratio: zero loss
 counts as no accident, under 5% is weak, 5% to 20% inclusive is medium, above
 20% is strong.  Claims where the driver was not the culprit are treated as no
-accident for modeling.
+accident for modeling.  This module needs no numpy, so the commands that only
+label claims or price scores start without it.
 """
 from __future__ import annotations
 
@@ -23,6 +25,13 @@ LABELS_CSV_COLUMNS = ("device", "class")
 
 class ClaimValidationError(ValueError):
     """A claim record violates its invariants."""
+
+
+class EstimationError(ValueError):
+    """A target's labels admit no estimate: separation, collinearity, a
+    single-class target, or an AUC over one class.  Base of the model
+    layers' estimation failures, so the CLI maps them to one exit code
+    without importing those layers."""
 
 
 @dataclass(frozen=True)
@@ -94,3 +103,15 @@ def claim_from_row(row: dict) -> ClaimRecord:
         raise ClaimValidationError(f"culprit must be boolean-like, got {row['culprit']!r}")
     return ClaimRecord(row["device"], float(row["loss_size"]),
                        float(row["ins_sum"]), culprit)
+
+
+def compute_premium(p_accident: float, predicted_loss: float,
+                    admin_costs: float, margin: float) -> float:
+    """Premium = accident probability x predicted loss + admin + margin."""
+    if not 0.0 <= p_accident <= 1.0:
+        raise ValueError("p_accident must be within [0, 1]")
+    if not all(map(math.isfinite, (predicted_loss, admin_costs, margin))):
+        raise ValueError("monetary inputs must be finite")
+    if predicted_loss < 0 or admin_costs < 0 or margin < 0:
+        raise ValueError("monetary inputs must be non-negative")
+    return p_accident * predicted_loss + admin_costs + margin

@@ -7,7 +7,12 @@ from itertools import dropwhile
 
 import pytest
 
+from drivescore import evaluation
+from drivescore.evaluation import DegenerateLabelsError
+from drivescore.features import FEATURE_CSV_COLUMNS, FEATURE_NAMES
+from drivescore.fileio import render_csv
 from drivescore.glm import model_to_dict, fit_logistic, DesignMatrix
+from drivescore.labeling import CLAIMS_CSV_COLUMNS
 from conftest import csv_rows as rows_of, run_cli
 
 import numpy as np
@@ -108,6 +113,27 @@ class TestEventPipeline:
         assert out == "wrote 0 hourly records and 0 trips (0 lines skipped)\n"
         assert err == "device parked: no trip kept\n"
         assert len(rows_of(tmp_path / "trips.csv")) == 0
+
+    def test_aggregate_default_gap_is_600_s(self, tmp_path):
+        # two ignition-less drives 1,200 s apart: one trip under an 1,800 s
+        # threshold, two under the 600 s default
+        fixes = [(10 * 3600 + 30 * k, 0.003 * k) for k in range(21)]
+        fixes += [(t + 1800, lon + 0.1) for t, lon in fixes]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            f'{{"device":"car","ts":"2021-01-04T{t // 3600:02d}:{t // 60 % 60:02d}:'
+            f'{t % 60:02d}Z","kind":"position","lat":0.0,"lon":{lon}}}\n'
+            for t, lon in fixes))
+        runs = {"default": []} | {gap: ["--gap-threshold-s", gap] for gap in ("600", "1800")}
+        for name, flags in runs.items():
+            assert run_cli("aggregate", "--events", events, *flags,
+                           "--out-dir", tmp_path / name) == 0
+        trips = {name: (tmp_path / name / "trips.csv").read_bytes() for name in runs}
+        assert len(rows_of(tmp_path / "default" / "trips.csv")) == 2
+        assert len(rows_of(tmp_path / "1800" / "trips.csv")) == 1
+        assert trips["default"] == trips["600"]
+        assert (tmp_path / "default" / "hourly.csv").read_bytes() == \
+            (tmp_path / "600" / "hourly.csv").read_bytes()
 
     def test_parse_rewrites_its_own_output_unchanged(self, small_pop, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -251,13 +277,60 @@ class TestScoreAndPremium:
                        "--out-dir", tmp_path) == 4
 
 
+def _model_inputs(dst, columns, positives):
+    """features.csv and claims.csv for devices d000.. with the given feature
+    columns (every other feature 0) and one strong claim per positive row."""
+    n = len(next(iter(columns.values())))
+    rows = [[f"d{i:03d}", "lifetime", "2019-03-04T00:00:00+00:00", ""]
+            + [float(columns[name][i]) if name in columns else 0.0
+               for name in FEATURE_NAMES]
+            for i in range(n)]
+    dst.mkdir(parents=True, exist_ok=True)
+    (dst / "features.csv").write_text(render_csv(FEATURE_CSV_COLUMNS, rows))
+    (dst / "claims.csv").write_text(render_csv(
+        CLAIMS_CSV_COLUMNS, [[f"d{i:03d}", 30_000.0, 100_000.0, "1"] for i in positives]))
+    return dst / "features.csv", dst / "claims.csv"
+
+
 class TestFitAndReport:
-    def test_fit_without_positives_exits_3(self, small_pop, tmp_path):
+    def test_fit_without_positives_exits_3(self, small_pop, tmp_path, capsys):
         empty = tmp_path / "claims.csv"
         empty.write_text("device,loss_size,ins_sum,culprit\n")
         rc = run_cli("fit", "--features", small_pop / "features.csv",
                      "--claims", empty, "--out-dir", tmp_path)
         assert rc == 3
+        assert "needs at least one positive and one negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "ablate"])
+    def test_separation_exits_3(self, tmp_path, capsys, command):
+        x = [float(i % 20 - 10) for i in range(40)]
+        features, claims = _model_inputs(tmp_path, {"a1": x},
+                                         [i for i, v in enumerate(x) if v >= 0])
+        assert run_cli(command, "--features", features, "--claims", claims,
+                       "--out-dir", tmp_path / "out") == 3
+        assert "separation; diverging coefficients on columns: a1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "ablate"])
+    def test_collinearity_exits_3(self, tmp_path, capsys, command):
+        x = np.random.default_rng(0).normal(size=40)
+        features, claims = _model_inputs(tmp_path, {"mileage": x + 5, "avg_sp": 2 * x + 10},
+                                         range(0, 40, 3))
+        assert run_cli(command, "--features", features, "--claims", claims,
+                       "--out-dir", tmp_path / "out") == 3
+        assert "linearly dependent columns: avg_sp" in capsys.readouterr().err
+
+    def test_degenerate_labels_exit_3(self, small_pop, tmp_path, capsys, monkeypatch):
+        # A fit raises SingleClassError on a one-class sample before any AUC
+        # is taken, so no input file brings roc_auc's error up to the CLI;
+        # the mapping is pinned through the layer the command imports.
+        def degenerate(*args, **kwargs):
+            raise DegenerateLabelsError("need at least one positive and one negative label")
+
+        monkeypatch.setattr(evaluation, "evaluate_model", degenerate)
+        assert run_cli("evaluate", "--features", small_pop / "features.csv",
+                       "--claims", small_pop / "claims.csv", "--out-dir", tmp_path) == 3
+        assert capsys.readouterr().err == \
+            "error: need at least one positive and one negative label\n"
 
     def test_report_artifacts(self, small_pop, tmp_path):
         assert run_cli("report", "--features", small_pop / "features.csv",
@@ -417,12 +490,28 @@ class TestErrorPaths:
         assert run_cli("--config", cfg, "premium", "--scores", tmp_path / "scores.csv",
                        "--out-dir", tmp_path / "out") == 4
 
-    def test_negative_loss_exits_1(self, small_pop, tmp_path):
+    def test_negative_loss_exits_4(self, small_pop, tmp_path, capsys):
         assert run_cli("score", "--model", "paper-reference",
                        "--features", small_pop / "features.csv",
                        "--out-dir", tmp_path) == 0
-        assert run_cli("premium", "--scores", tmp_path / "scores.csv",
-                       "--loss", -5, "--out-dir", tmp_path) == 1
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("device,window_kind,window_start,probability\n")
+        # checked before any row is read, so a file without rows fails alike
+        for scores in (tmp_path / "scores.csv", header_only):
+            capsys.readouterr()
+            assert run_cli("premium", "--scores", scores,
+                           "--loss", -5, "--out-dir", tmp_path / "out") == 4
+            assert capsys.readouterr().err == "error: loss must be non-negative, got -5.0\n"
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--admin", "--margin"])
+    def test_negative_admin_or_margin_exits_4(self, small_pop, tmp_path, flag):
+        assert run_cli("score", "--model", "paper-reference",
+                       "--features", small_pop / "features.csv",
+                       "--out-dir", tmp_path) == 0
+        assert run_cli("premium", "--scores", tmp_path / "scores.csv", "--loss", 1000,
+                       f"{flag}=-1", "--out-dir", tmp_path / "out") == 4
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigPassthrough:

@@ -1,4 +1,5 @@
-"""Logistic regression internals: IRLS, Wald inference, selection, premiums."""
+"""Logistic regression internals: IRLS, Wald inference, selection; and the
+premium arithmetic, which lives in ``labeling`` so ``premium`` runs without numpy."""
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from drivescore.glm import (CollinearityError, DesignMatrix, FittedModel,
                             MissingFeatureError, SeparationError,
                             SingleClassError, backward_eliminate,
-                            compute_premium, fit_logistic, mcfadden_r2,
-                            model_from_dict, model_to_dict, predict_proba,
-                            wald_pvalue)
+                            fit_logistic, mcfadden_r2, model_from_dict,
+                            model_to_dict, predict_proba, wald_pvalue)
+from drivescore.labeling import compute_premium
 
 
 def design(X, y, names=None):
