@@ -1,0 +1,64 @@
+"""Artifact bytes pinned across versions.
+
+Criterion 10 compares two runs of the same code, and criterion 08 checks
+feature values to within 1e-9; neither notices a refactor that moves the
+last bit of a feature or a planted probability.  These digests were taken
+from the code before the feature catalog moved to one columnar table, and
+every later version must write the same bytes.  The provenance header
+carries the tool version, so a version bump re-records them.
+"""
+import hashlib
+
+import pytest
+
+from conftest import GOLDEN_WEEK, run_cli
+
+FEATURES_DIGESTS = {
+    ("weekly", "UTC"):
+        "ccf02ad1f75b21161aa8ac12749350512a582fa0d3a84f27a08488336d29ae0a",
+    ("lifetime", "UTC"):
+        "77354f4d3ffa065f747b24df4e9d06b7d2d5e65826b2e1aae175e7c72d0630b4",
+    ("weekly", "Europe/Berlin"):
+        "45631ae8f1b5840df89b78ba252bfcbbc46889c2f50254a69a6db813b20ec377",
+    ("lifetime", "Europe/Berlin"):
+        "055c710707de8405c8f0a617564f0df18207547a1464beaee73e3422d93590f8",
+    ("weekly", "America/New_York"):
+        "0d9095dea20a137b94fa60d9ad03e375867a1a42663d95e9396ef6f5d66bb061",
+    ("lifetime", "America/New_York"):
+        "4dfccb7dbffc4def582ab098f83d2d62d7af34f28f35dfe813b0022d342cae08",
+    ("weekly", "Asia/Kolkata"):
+        "a36912371a64cda70b4524867a36259caf7c3105e41c6b114a8a36e508ba638e",
+    ("lifetime", "Asia/Kolkata"):
+        "89c1bceefe94b989522e6a7b4ecb6ba8e8944f5e6c3bc0945deece1a9c42eeb3",
+    ("weekly", "Australia/Lord_Howe"):
+        "681586ff5bc82583d1005b22730e828e6c4f9744cea47ecdb634621f39aa0d9f",
+    ("lifetime", "Australia/Lord_Howe"):
+        "79430cd95a0fa8f10ead28856a3a6eecf829d9a7f194bc8200ed9c76d11c527d",
+}
+
+# synth --n 300 --weeks 8 --seed 4
+SYNTH_DIGESTS = {
+    "features.csv": "37dfdb970e6ffcb25f8d4582b6b81efe3904cdf67062ccbc44af5d6988d6703a",
+    "claims.csv": "97e9e8761768bc2c74d2d7a4c03c38ce2d28de5dfba29423f8865745b35e13fa",
+    "truth.json": "75510a0441fbda5bc04ffe27a311e77d6928b8ace0d22a2bdc767117d2e5194d",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("window,tz", sorted(FEATURES_DIGESTS))
+def test_golden_week_features_bytes(tmp_path, window, tz):
+    assert run_cli("aggregate", "--events", GOLDEN_WEEK, "--tz", tz,
+                   "--out-dir", tmp_path) == 0
+    assert run_cli("features", "--hourly", tmp_path / "hourly.csv",
+                   "--trips", tmp_path / "trips.csv", "--window", window,
+                   "--tz", tz, "--out-dir", tmp_path) == 0
+    assert _sha256(tmp_path / "features.csv") == FEATURES_DIGESTS[window, tz]
+
+
+def test_synth_artifact_bytes(tmp_path):
+    assert run_cli("synth", "--n", 300, "--weeks", 8, "--seed", 4,
+                   "--out-dir", tmp_path) == 0
+    assert {name: _sha256(tmp_path / name) for name in SYNTH_DIGESTS} == SYNTH_DIGESTS
