@@ -199,7 +199,7 @@ def cmd_aggregate(ns) -> int:
 
 def cmd_features(ns) -> int:
     from .features import (FEATURE_CSV_COLUMNS, compute_feature_table,
-                           feature_to_row)
+                           feature_rows)
     from .trips import (HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS, hourly_from_row,
                         trip_from_row)
 
@@ -217,8 +217,7 @@ def cmd_features(ns) -> int:
                                   "trips": sha256_digest(trips_path)})
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     atomic_write_text(out_dir / "features.csv",
-                      render_csv(FEATURE_CSV_COLUMNS,
-                                 [feature_to_row(fv) for fv in table], prov))
+                      render_csv(FEATURE_CSV_COLUMNS, feature_rows(table), prov))
     print(f"wrote {len(table)} feature vectors ({window} windows)")
     return 0
 
@@ -392,17 +391,23 @@ def cmd_premium(ns) -> int:
 
 def cmd_ablate(ns) -> int:
     from .evaluation import ablation_compare
-    from .features import FEATURE_GROUPS
+    from .features import FEATURE_GROUPS, MODEL_FEATURE_NAMES
 
-    table, claims, inputs = _read_model_inputs(ns)
     group_spec = _opt(ns, "group", str, "accel")
+    names = [g.strip() for g in group_spec.split(",") if g.strip()]
+    if group_spec not in FEATURE_GROUPS:
+        unknown = [n for n in names if n not in MODEL_FEATURE_NAMES]
+        if unknown:
+            raise ConfigError(f"group must be one of {sorted(FEATURE_GROUPS)} or model "
+                              f"feature names; unknown: {', '.join(unknown)}")
+    table, claims, inputs = _read_model_inputs(ns)
     results = []
     for target in TARGETS:
         design, _ = _build_design(table, claims, target)
         if group_spec in FEATURE_GROUPS:
             group = [n for n in FEATURE_GROUPS[group_spec] if n in design.feature_names]
         else:
-            group = [g.strip() for g in group_spec.split(",") if g.strip()]
+            group = names
         results.append(ablation_compare(design, target, group))
     prov = provenance_line(None, inputs)
     rows = [[r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
@@ -449,7 +454,7 @@ def cmd_report(ns) -> int:
 
 
 def cmd_synth(ns) -> int:
-    from .features import FEATURE_CSV_COLUMNS, feature_to_row
+    from .features import FEATURE_CSV_COLUMNS, feature_rows
     from .synthgen import SynthConfig, generate_population, iter_event_logs
 
     n = _opt(ns, "n", int, None)
@@ -462,8 +467,7 @@ def cmd_synth(ns) -> int:
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     prov = provenance_line(seed)
     atomic_write_text(out_dir / "features.csv",
-                      render_csv(FEATURE_CSV_COLUMNS,
-                                 [feature_to_row(fv) for fv in result.features], prov))
+                      render_csv(FEATURE_CSV_COLUMNS, feature_rows(result.features), prov))
     claim_rows = [[c.device_id, c.loss_size, c.ins_sum, "1" if c.culprit else "0"]
                   for c in result.claims]
     atomic_write_text(out_dir / "claims.csv",

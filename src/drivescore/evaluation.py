@@ -155,7 +155,7 @@ def ablation_compare(design: DesignMatrix, target: str,
     group = tuple(feature_group)
     unknown = set(group) - set(design.feature_names)
     if unknown:
-        raise KeyError(f"feature group not in design: {sorted(unknown)}")
+        raise ValueError(f"feature group not in design: {sorted(unknown)}")
     null = fit_logistic(design.intercept_only(), target=target)
     full = fit_logistic(design, target=target)
     r2_with = mcfadden_r2(full.log_likelihood, null.log_likelihood)

@@ -4,20 +4,24 @@ Three indicator groups: mileage structure (how much, when, in what trip
 lengths), speed profile (averages, maxima by time slice, speed-band shares)
 and harsh-manoeuvre frequencies per 100 km.  Event counts per G-band come in
 from hourly records; the bands themselves are defined in ``bands``.  The
-model commands read ``features.csv`` back as one columnar ``FeatureTable``.
+catalog is held one way, as a columnar ``FeatureTable``: ``features`` and
+``synth`` build one and write it with ``feature_rows``, and the model
+commands read ``features.csv`` back into one.
 """
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone, tzinfo
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .bands import ACCEL_BAND_NAMES
 from .fileio import WINDOW_KINDS, iter_csv_records
-from .trips import HourlyRecord, Trip
+
+if TYPE_CHECKING:
+    from .trips import HourlyRecord, Trip
 
 # Local-clock slices, half-open hour ranges.
 DAYTIME_HOURS = range(7, 19)
@@ -50,42 +54,6 @@ FEATURE_GROUPS = {"accel": ACCEL_FEATURES, "speed": SPEED_FEATURES,
                   "mileage": MILEAGE_FEATURES}
 
 
-@dataclass(frozen=True)
-class Window:
-    kind: str
-    start: datetime
-    end: datetime
-
-    def __post_init__(self):
-        if self.kind not in WINDOW_KINDS:
-            raise ValueError(f"unknown window kind: {self.kind!r}")
-        if self.end <= self.start:
-            raise ValueError("window must end after it starts")
-
-    def contains(self, ts: datetime) -> bool:
-        return self.start <= ts < self.end
-
-
-def _as_dict(self) -> dict[str, float]:
-    return {name: getattr(self, name) for name in FEATURE_NAMES}
-
-
-_FEATURE_VECTOR_DOC = """One device's indicator vector over one window.
-
-Fields are the device, the window and the quality flags, then one float per
-``FEATURE_NAMES`` entry in catalog order, so the catalog is declared once.
-The speeding counts default to 0.0 because no pipeline stage derives them.
-"""
-
-FeatureVector = make_dataclass(
-    "FeatureVector",
-    [("device_id", str), ("window", Window), ("quality_flags", tuple[str, ...])]
-    + [(name, float) for name in MODEL_FEATURE_NAMES]
-    + [(name, float, field(default=0.0)) for name in SPEEDING_FEATURES],
-    namespace={"__module__": __name__, "__doc__": _FEATURE_VECTOR_DOC,
-               "as_dict": _as_dict}, frozen=True)
-
-
 def load_holiday_calendar(path) -> frozenset[date]:
     """Read a holiday calendar file: one YYYY-MM-DD per line, # comments."""
     days = set()
@@ -110,23 +78,49 @@ def _per_day(km: float, days: int) -> float:
     return km / days if days > 0 else 0.0
 
 
-def compute_features(hourly: Sequence[HourlyRecord], trips: Sequence[Trip],
-                     window: Window, calendar: frozenset[date] | set[date] = frozenset(),
-                     ) -> FeatureVector | None:
-    """Compute the full indicator vector for one device over one window.
+@dataclass(frozen=True)
+class FeatureTable:
+    """Feature rows in columns: ids, window metadata, flags and one matrix.
 
-    Hourly records select into the window by their hour start, trips by
-    their start instant.  Ratio features never divide by zero: with no trips
-    the trip-share block is 0 and the vector is flagged ``no_trips``; with no
-    mileage every share and per-100km frequency is 0 under ``no_mileage``.
-    Returns None when the window saw no activity at all.
+    One row per device and window.  ``values`` is a C-contiguous float64
+    matrix, one row per feature row and one column per name in
+    ``FEATURE_NAMES``.
     """
-    recs = [r for r in hourly if window.contains(r.hour_start)]
-    trs = [t for t in trips if window.contains(t.start)]
-    if not recs and not trs:
-        return None
-    device_id = recs[0].device_id if recs else trs[0].device_id
 
+    device_ids: tuple[str, ...]
+    window_kinds: tuple[str, ...]
+    window_starts: tuple[datetime, ...]
+    quality_flags: tuple[tuple[str, ...], ...]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.device_ids)
+
+    @property
+    def model_values(self) -> np.ndarray:
+        """View of the ``MODEL_FEATURE_NAMES`` columns of ``values``, in order."""
+        return self.values[:, :len(MODEL_FEATURE_NAMES)]
+
+
+def feature_matrix(rows: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """The ``values`` matrix of feature rows given by name.
+
+    A name a row lacks reads 0.0: the speeding counts, which no pipeline
+    stage derives.
+    """
+    return np.array([[row.get(name, 0.0) for name in FEATURE_NAMES] for row in rows],
+                    dtype=float).reshape(len(rows), len(FEATURE_NAMES))
+
+
+def _window_features(recs: Sequence[HourlyRecord], trs: Sequence[Trip],
+                     calendar: frozenset[date] | set[date],
+                     ) -> tuple[tuple[str, ...], dict[str, float]]:
+    """Quality flags and indicator values of one device's records in one window.
+
+    Ratio features never divide by zero: with no trips the trip-share block
+    is 0 and the row is flagged ``no_trips``; with no mileage every share
+    and per-100km frequency is 0 under ``no_mileage``.
+    """
     flags = set()
     total_km = sum(r.mileage_km for r in recs)
     if total_km <= 0:
@@ -187,121 +181,84 @@ def compute_features(hourly: Sequence[HourlyRecord], trips: Sequence[Trip],
 
     per100 = [100.0 * n / total_km if total_km > 0 else 0.0 for n in counts]
 
-    return FeatureVector(
-        device_id=device_id,
-        window=window,
-        quality_flags=tuple(sorted(flags)),
-        mileage=total_km,
-        trips_day=n_trips / n_days if n_days else 0.0,
-        below_10_pr=below_10,
-        below_30_pr=below_30,
-        over_200=over_200,
-        over_400=over_400,
-        d_total_m=_per_day(total_km, n_days),
-        avg_trip_mil=avg_trip_mil,
-        avg_trip_dur=avg_trip_dur,
-        d_business_m=_per_day(slice_km["business"], n_business),
-        d_day_m=_per_day(slice_km["day"], n_days),
-        d_evening_jam_m=_per_day(slice_km["ej"], n_days),
-        d_morning_jam_m=_per_day(slice_km["mj"], n_days),
-        d_holi_m=_per_day(slice_km["holi"], n_holi),
-        d_night_m=_per_day(slice_km["night"], n_days),
-        day_m_pr=_share(slice_km["day"], total_km),
-        ej_m_pr=_share(slice_km["ej"], total_km),
-        avg_sp=speed_wsum / total_km if total_km > 0 else 0.0,
-        max_sp=max_sp,
-        max_ej_sp=max_ej,
-        max_mj_sp=max_mj,
-        max_n_sp=max_n,
-        m_pr_below_20=_share(band_km[0], total_km),
-        m_pr_below_60=_share(band_km[0] + band_km[1], total_km),
-        m_pr_over_100=_share(band_km[3] + band_km[4], total_km),
-        m_pr_over_130=_share(band_km[4], total_km),
-        a1=per100[0], a2=per100[1], a3=per100[2],
-        d1=per100[3], d2=per100[4], d3=per100[5],
-        s1=per100[6], s2=per100[7], s3=per100[8],
-    )
-
-
-def lifetime_window(hourly: Sequence[HourlyRecord], trips: Sequence[Trip]) -> Window:
-    starts = [r.hour_start for r in hourly] + [t.start for t in trips]
-    if not starts:
-        raise ValueError("no activity to derive a window from")
-    lo, hi = min(starts), max(starts)
-    return Window("lifetime", lo, hi + timedelta(hours=1))
-
-
-def weekly_windows(hourly: Sequence[HourlyRecord], trips: Sequence[Trip],
-                   tz: tzinfo = timezone.utc) -> list[Window]:
-    """ISO-week windows (Monday 00:00 local) covering all observed activity."""
-    starts = [r.hour_start for r in hourly] + [t.start for t in trips]
-    if not starts:
-        return []
-    days = sorted({ts.astimezone(tz).date() for ts in starts})
-    weeks = sorted({d - timedelta(days=d.weekday()) for d in days})
-    out = []
-    for monday in weeks:
-        start = datetime(monday.year, monday.month, monday.day, tzinfo=tz)
-        out.append(Window("weekly", start, start + timedelta(days=7)))
-    return out
+    return tuple(sorted(flags)), {
+        "mileage": total_km,
+        "trips_day": n_trips / n_days if n_days else 0.0,
+        "below_10_pr": below_10,
+        "below_30_pr": below_30,
+        "over_200": over_200,
+        "over_400": over_400,
+        "d_total_m": _per_day(total_km, n_days),
+        "avg_trip_mil": avg_trip_mil,
+        "avg_trip_dur": avg_trip_dur,
+        "d_business_m": _per_day(slice_km["business"], n_business),
+        "d_day_m": _per_day(slice_km["day"], n_days),
+        "d_evening_jam_m": _per_day(slice_km["ej"], n_days),
+        "d_morning_jam_m": _per_day(slice_km["mj"], n_days),
+        "d_holi_m": _per_day(slice_km["holi"], n_holi),
+        "d_night_m": _per_day(slice_km["night"], n_days),
+        "day_m_pr": _share(slice_km["day"], total_km),
+        "ej_m_pr": _share(slice_km["ej"], total_km),
+        "avg_sp": speed_wsum / total_km if total_km > 0 else 0.0,
+        "max_sp": max_sp,
+        "max_ej_sp": max_ej,
+        "max_mj_sp": max_mj,
+        "max_n_sp": max_n,
+        "m_pr_below_20": _share(band_km[0], total_km),
+        "m_pr_below_60": _share(band_km[0] + band_km[1], total_km),
+        "m_pr_over_100": _share(band_km[3] + band_km[4], total_km),
+        "m_pr_over_130": _share(band_km[4], total_km),
+        **dict(zip(ACCEL_FEATURES, per100)),
+    }
 
 
 def compute_feature_table(hourly: Iterable[HourlyRecord], trips: Iterable[Trip],
                           window_kind: str, calendar: frozenset[date] | set[date] = frozenset(),
-                          tz: tzinfo = timezone.utc) -> list[FeatureVector]:
-    """Feature vectors for every device (and, if weekly, every active week)."""
+                          tz: tzinfo = timezone.utc) -> FeatureTable:
+    """One feature row per device and window, devices in id order.
+
+    A ``lifetime`` window holds all of a device's activity and starts at its
+    earliest hour or trip start.  ``weekly`` windows are the local ISO weeks
+    (Monday 00:00 in ``tz``) in which the device was active, in time order.
+    One pass groups the records by window: hourly records by their hour
+    start, trips by their start instant, each in input order.
+    """
     if window_kind not in WINDOW_KINDS:
         raise ValueError(f"unknown window kind: {window_kind!r}")
-    by_dev_h: dict[str, list[HourlyRecord]] = {}
-    by_dev_t: dict[str, list[Trip]] = {}
-    for r in hourly:
-        by_dev_h.setdefault(r.device_id, []).append(r)
-    for t in trips:
-        by_dev_t.setdefault(t.device_id, []).append(t)
-    out: list[FeatureVector] = []
-    for dev in sorted(set(by_dev_h) | set(by_dev_t)):
-        h = by_dev_h.get(dev, [])
-        t = by_dev_t.get(dev, [])
+
+    def monday(ts: datetime) -> date | None:
         if window_kind == "lifetime":
-            windows = [lifetime_window(h, t)]
+            return None
+        day = ts.astimezone(tz).date()
+        return day - timedelta(days=day.weekday())
+
+    windows: dict[tuple[str, date | None], tuple[list, list]] = {}
+    for r in hourly:
+        windows.setdefault((r.device_id, monday(r.hour_start)), ([], []))[0].append(r)
+    for t in trips:
+        windows.setdefault((t.device_id, monday(t.start)), ([], []))[1].append(t)
+    keys = sorted(windows)
+    starts, flags, rows = [], [], []
+    for dev, week in keys:
+        recs, trs = windows[dev, week]
+        if week is None:
+            # min keeps the first of equal instants, an hourly record's, whose offset is written
+            starts.append(min([r.hour_start for r in recs] + [t.start for t in trs]))
         else:
-            windows = weekly_windows(h, t, tz)
-        for w in windows:
-            fv = compute_features(h, t, w, calendar)
-            if fv is not None:
-                out.append(fv)
-    return out
+            starts.append(datetime(week.year, week.month, week.day, tzinfo=tz))
+        window_flags, row = _window_features(recs, trs, calendar)
+        flags.append(window_flags)
+        rows.append(row)
+    return FeatureTable(tuple(dev for dev, _ in keys), (window_kind,) * len(keys),
+                        tuple(starts), tuple(flags), feature_matrix(rows))
 
 
-def feature_to_row(fv: FeatureVector) -> list:
-    row = [fv.device_id, fv.window.kind, fv.window.start.isoformat(),
-           ";".join(fv.quality_flags)]
-    row.extend(getattr(fv, name) for name in FEATURE_NAMES)
-    return row
-
-
-@dataclass(frozen=True)
-class FeatureTable:
-    """Feature rows in columns: ids, window metadata, flags and one matrix.
-
-    ``values`` is a C-contiguous float64 matrix, one row per feature row and
-    one column per name in ``FEATURE_NAMES``.
-    """
-
-    device_ids: tuple[str, ...]
-    window_kinds: tuple[str, ...]
-    window_starts: tuple[datetime, ...]
-    quality_flags: tuple[tuple[str, ...], ...]
-    values: np.ndarray
-
-    @property
-    def model_values(self) -> np.ndarray:
-        """View of the ``MODEL_FEATURE_NAMES`` columns of ``values``, in order."""
-        return self.values[:, :len(MODEL_FEATURE_NAMES)]
-
-    def columns(self, names: Sequence[str]) -> np.ndarray:
-        """C-contiguous copy of the named columns, in the given order."""
-        return np.ascontiguousarray(self.values[:, [FEATURE_NAMES.index(n) for n in names]])
+def feature_rows(table: FeatureTable) -> Iterator[list]:
+    """The table's ``features.csv`` data rows, cells in ``FEATURE_CSV_COLUMNS`` order."""
+    for device, kind, start, flags, values in zip(
+            table.device_ids, table.window_kinds, table.window_starts,
+            table.quality_flags, table.values.tolist()):
+        yield [device, kind, start.isoformat(), ";".join(flags), *values]
 
 
 def read_feature_table(path) -> FeatureTable:

@@ -433,6 +433,7 @@ def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
     is formatted once, floats are written by ``repr`` (as ``json.dumps``
     writes them) and the year is zero-padded to four digits.  Lines are made
     one at a time, so a writer holds one line, not the file.
+    ``parse_event_log`` inverts the joined lines exactly.
     """
     days: dict[int, str] = {}
     for log in logs:
@@ -452,11 +453,6 @@ def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
             if axis:
                 line += ',"axis":"%s","accel_g":%r' % (AXIS_NAMES[axis], accel)
             yield line + "}\n"
-
-
-def serialize_logs(logs: Iterable[DeviceLog]) -> str:
-    """JSONL text for a set of logs; parse_event_log inverts this exactly."""
-    return "".join(iter_log_lines(logs))
 
 
 def validate_log(log: DeviceLog) -> ValidationReport:

@@ -4,10 +4,13 @@ Each driver gets a latent style profile; the profile determines an exact
 expected feature vector in closed form (``oracle_features``), an event log
 realization consistent with the ingest schema (``generate_event_log``), and
 accident outcomes drawn from a logistic model with planted coefficients on
-the oracle features.  Because outcomes condition on the oracle vector, a
-logistic refit on (oracle features, outcomes) is correctly specified and
-must recover the planted coefficients up to sampling noise; that is the
-closed-loop check the generator exists for.
+the oracle features.  The oracle vectors fill the rows of one lifetime
+``FeatureTable``, the table ``features`` builds from event logs, and the
+planted probabilities are computed from its columns.  Because outcomes
+condition on the oracle vector, a logistic refit on (oracle features,
+outcomes) is correctly specified and must recover the planted coefficients
+up to sampling noise; that is the closed-loop check the generator exists
+for.
 
 Claim amounts are drawn so each intended severity class survives the
 labeling rules exactly, plus small fractions of non-culprit and zero-loss
@@ -19,12 +22,12 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .bands import ACCEL_BAND_NAMES
-from .features import FeatureVector, Window
+from .features import FEATURE_NAMES, FeatureTable, feature_matrix
 from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, LONGITUDINAL,
                      POSITION, SPEED, DeviceLog, DeviceLogBuilder, epoch_seconds)
 from .trips import EARTH_RADIUS_KM
@@ -156,7 +159,7 @@ class SynthConfig:
 class SynthResult:
     config: SynthConfig
     profiles: list[DriverProfile]
-    features: list[FeatureVector]
+    features: FeatureTable  # one lifetime row per driver, profile order
     claims: list[ClaimRecord]
     outcomes: dict[str, list[int]]  # target -> 0/1 per driver, profile order
 
@@ -281,9 +284,8 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def oracle_features(profile: DriverProfile, weeks: int,
-                    start: datetime = SYNTH_EPOCH) -> FeatureVector:
-    """Expected feature vector implied by a profile, in closed form.
+def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
+    """Expected model feature values implied by a profile, in closed form.
 
     The window has 5*weeks business days and 2*weeks weekend (holiday-class)
     days; ratios are ratios of expectations, which is what the driver's
@@ -324,11 +326,7 @@ def oracle_features(profile: DriverProfile, weeks: int,
     d_total = mileage / covered
     hours_per_km = sum(q / v for q, v in zip(p.band_shares, p.band_speeds))
 
-    window = Window("lifetime", start, start + timedelta(weeks=weeks))
-    return FeatureVector(
-        device_id=p.device_id,
-        window=window,
-        quality_flags=(),
+    return dict(
         mileage=mileage,
         trips_day=n_trips / covered,
         below_10_pr=100.0 * trip_len_cdf(10.0),
@@ -361,32 +359,44 @@ def oracle_features(profile: DriverProfile, weeks: int,
     )
 
 
-def planted_probability(features: FeatureVector, beta: Mapping[str, float]) -> float:
-    eta = 0.0
-    values = features.as_dict()
-    for name, coef in beta.items():
-        eta += coef * (1.0 if name == "const" else values[name])
+def _logistic(eta: float) -> float:
     return 1.0 / (1.0 + math.exp(-eta)) if eta >= 0 else math.exp(eta) / (1.0 + math.exp(eta))
 
 
-def draw_claims(features: FeatureVector, betas: Mapping[str, Mapping[str, float]],
+def planted_probabilities(features: FeatureTable, beta: Mapping[str, float]) -> list[float]:
+    """Each row's planted accident probability under one target's ``beta``.
+
+    The log-odds add ``coef * column`` in ``beta``'s order, the order a
+    scalar sum over one driver would take, and the logistic runs through
+    ``math.exp`` per driver, so every probability is the scalar one to the
+    last bit.
+    """
+    columns = dict(zip(FEATURE_NAMES, features.values.T))
+    eta = 0.0
+    for name, coef in beta.items():
+        eta = eta + (coef if name == "const" else coef * columns[name])
+    return [_logistic(e) for e in np.broadcast_to(eta, len(features)).tolist()]
+
+
+def draw_claims(dev: str, probabilities: Mapping[str, float],
                 rng: np.random.Generator) -> tuple[dict[str, int], list[ClaimRecord]]:
     """Accident outcomes and claim records for one driver.
 
-    Each severity target draws independently; a positive target yields one
-    culprit claim whose loss ratio sits strictly inside that class's band.
-    Small noise fractions add a non-culprit claim and a zero-loss claim,
-    both of which must label as "none".
+    ``probabilities`` holds the driver's planted probability per severity
+    target; a target without one never fires.  Each target draws
+    independently; a positive target yields one culprit claim whose loss
+    ratio sits strictly inside that class's band.  Small noise fractions add
+    a non-culprit claim and a zero-loss claim, both of which must label as
+    "none".
     """
     outcomes: dict[str, int] = {}
     claims: list[ClaimRecord] = []
-    dev = features.device_id
     for target in ("weak", "medium", "strong"):
-        beta = betas.get(target)
-        if beta is None:
+        p = probabilities.get(target)
+        if p is None:
             outcomes[target] = 0
             continue
-        hit = int(rng.random() < planted_probability(features, beta))
+        hit = int(rng.random() < p)
         outcomes[target] = hit
         if hit:
             lo, hi = RATIO_RANGES[target]
@@ -411,17 +421,20 @@ def generate_population(config: SynthConfig) -> SynthResult:
     use iter_event_logs / generate_event_log, which draw from dedicated
     per-driver substreams so logs never disturb outcome draws.
     """
-    width = max(5, len(str(config.n_drivers - 1)))
-    streams = _driver_streams(config.seed, config.n_drivers)
-    profiles, features, claims = [], [], []
+    n, width = config.n_drivers, max(5, len(str(config.n_drivers - 1)))
+    streams = _driver_streams(config.seed, n)
+    profiles = [sample_profile(f"d{i:0{width}d}", core_rng)
+                for i, (core_rng, _) in enumerate(streams)]
+    features = FeatureTable(tuple(p.device_id for p in profiles), ("lifetime",) * n,
+                            (SYNTH_EPOCH,) * n, ((),) * n,
+                            feature_matrix([oracle_features(p, config.weeks) for p in profiles]))
+    planted = {t: planted_probabilities(features, beta) for t, beta in config.betas.items()}
+    claims: list[ClaimRecord] = []
     outcomes: dict[str, list[int]] = {"any": [], "weak": [], "medium": [], "strong": []}
-    for i, (core_rng, _) in enumerate(streams):
-        dev = f"d{i:0{width}d}"
-        profile = sample_profile(dev, core_rng)
-        fv = oracle_features(profile, config.weeks)
-        out, cl = draw_claims(fv, config.betas, core_rng)
-        profiles.append(profile)
-        features.append(fv)
+    # each driver's claims come from its own core stream, after its profile
+    for i, (profile, (core_rng, _)) in enumerate(zip(profiles, streams)):
+        out, cl = draw_claims(profile.device_id, {t: p[i] for t, p in planted.items()},
+                              core_rng)
         claims.extend(cl)
         for t, v in out.items():
             outcomes[t].append(v)

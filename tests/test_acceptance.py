@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from drivescore.evaluation import roc_auc
-from drivescore.features import (FEATURE_CSV_COLUMNS, FEATURE_NAMES,
-                                 FeatureVector, Window, compute_feature_table,
-                                 feature_to_row)
+from drivescore.features import (FEATURE_CSV_COLUMNS, FEATURE_NAMES, FeatureTable,
+                                 compute_feature_table, feature_rows)
 from drivescore.fileio import render_csv
 from drivescore.glm import DesignMatrix, fit_logistic, load_reference_models, \
     predict_proba
@@ -322,12 +321,13 @@ def test_criterion_08_golden_week_fixture():
     (log,) = res.logs
     trips = segment_trips(log)
     hourly = aggregate_hourly(log, trips, UTC)
-    (fv,) = compute_feature_table(hourly, trips, "weekly")
-    assert fv.device_id == "g1"
-    assert fv.window == Window("weekly", datetime(2019, 2, 4, tzinfo=UTC),
-                               datetime(2019, 2, 11, tzinfo=UTC))
-    assert fv.quality_flags == ()
-    worst = max(abs(getattr(fv, n) - GOLDEN_EXPECTED[n]) for n in FEATURE_NAMES)
+    table = compute_feature_table(hourly, trips, "weekly")
+    assert table.device_ids == ("g1",)
+    assert table.window_kinds == ("weekly",)
+    assert table.window_starts == (datetime(2019, 2, 4, tzinfo=UTC),)
+    assert table.quality_flags == ((),)
+    fv = dict(zip(FEATURE_NAMES, table.values[0].tolist()))
+    worst = max(abs(fv[n] - GOLDEN_EXPECTED[n]) for n in FEATURE_NAMES)
     _line(8, "hand-computed weekly features", worst <= 1e-9,
           f"3-trip fixture, max|err|={worst:.2e} across {len(FEATURE_NAMES)} fields")
 
@@ -339,14 +339,10 @@ def _logit(p: float) -> float:
 
 
 def test_criterion_09_reference_model_scoring(tmp_path):
-    zero = FeatureVector(device_id="z0",
-                         window=Window("lifetime",
-                                       datetime(2020, 1, 1, tzinfo=UTC),
-                                       datetime(2020, 1, 8, tzinfo=UTC)),
-                         quality_flags=(),
-                         **{n: 0.0 for n in FEATURE_NAMES})
+    zero = FeatureTable(("z0",), ("lifetime",), (datetime(2020, 1, 1, tzinfo=UTC),),
+                        ((),), np.zeros((1, len(FEATURE_NAMES))))
     (tmp_path / "features.csv").write_text(
-        render_csv(FEATURE_CSV_COLUMNS, [feature_to_row(zero)]))
+        render_csv(FEATURE_CSV_COLUMNS, feature_rows(zero)))
     assert run_cli("score", "--model", "paper-reference", "--target", "any",
                    "--features", tmp_path / "features.csv",
                    "--out-dir", tmp_path) == 0

@@ -513,6 +513,32 @@ class TestErrorPaths:
                        f"{flag}=-1", "--out-dir", tmp_path / "out") == 4
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_ablation_group_exits_4(self, tmp_path, capsys):
+        # checked before any input is read: the absent files are never looked at
+        assert run_cli("ablate", "--features", tmp_path / "absent.csv",
+                       "--claims", tmp_path / "absent.csv", "--group", "a1, nosuch",
+                       "--out-dir", tmp_path) == 4
+        assert capsys.readouterr().err == (
+            "error: group must be one of ['accel', 'mileage', 'speed'] or model "
+            "feature names; unknown: nosuch\n")
+
+    def test_constant_ablation_feature_exits_1(self, small_pop, tmp_path, capsys):
+        """A model feature that is constant, so dropped from the design, is a
+        data error with a plain message."""
+        with open(small_pop / "features.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(dropwhile(lambda ln: ln.startswith("#"), f)))
+        col = rows[0].index("over_400")
+        for row in rows[1:]:
+            row[col] = "0"
+        features = tmp_path / "features.csv"
+        with open(features, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        assert run_cli("ablate", "--features", features,
+                       "--claims", small_pop / "claims.csv", "--group", "over_400",
+                       "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == \
+            "error: feature group not in design: ['over_400']\n"
+
 
 class TestConfigPassthrough:
     def test_config_supplies_out_dir(self, small_pop, tmp_path):

@@ -2,17 +2,17 @@
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivescore.features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS,
                                  FEATURE_NAMES, MODEL_FEATURE_NAMES, WINDOW_KINDS,
-                                 FeatureVector, Window, compute_features,
-                                 compute_feature_table, feature_to_row,
-                                 is_holiday_class, lifetime_window,
-                                 load_holiday_calendar, read_feature_table,
-                                 weekly_windows)
+                                 FeatureTable, compute_feature_table, feature_rows,
+                                 is_holiday_class, load_holiday_calendar,
+                                 read_feature_table)
 from drivescore.fileio import render_csv
 from drivescore.trips import HourlyRecord, Trip
 
@@ -34,6 +34,15 @@ def trip(start, km, minutes, device="d1"):
                 km / dur * 3600.0)
 
 
+def lifetime_row(hourly, trips):
+    """The one lifetime feature row of one device's activity: its quality
+    flags and one attribute per feature name."""
+    table = compute_feature_table(hourly, trips, "lifetime", frozenset(), UTC)
+    (flags,) = table.quality_flags
+    return SimpleNamespace(quality_flags=flags,
+                           **dict(zip(FEATURE_NAMES, table.values[0].tolist())))
+
+
 class TestPerDayDenominators:
     """Per-day features divide by days covered by data, split by day class."""
 
@@ -41,7 +50,7 @@ class TestPerDayDenominators:
         hourly = [rec(MON.replace(hour=10), 30.0, 40.0, 80.0),
                   rec(SUN.replace(hour=23), 10.0, 15.0, 20.0,
                       bands=(10.0, 0.0, 0.0, 0.0, 0.0))]
-        fv = compute_features(hourly, [], lifetime_window(hourly, []))
+        fv = lifetime_row(hourly, [])
         assert fv.d_total_m == pytest.approx(40.0 / 2)
         assert fv.d_business_m == pytest.approx(30.0 / 1)
         assert fv.d_holi_m == pytest.approx(10.0 / 1)
@@ -55,7 +64,7 @@ class TestPerDayDenominators:
         hourly = [rec(MON.replace(hour=8), 6.0, 30.0, 50.0),
                   rec(MON + timedelta(days=1, hours=12), 14.0, 50.0, 70.0),
                   rec(MON + timedelta(days=2, hours=12), 10.0, 50.0, 70.0)]
-        fv = compute_features(hourly, [], lifetime_window(hourly, []))
+        fv = lifetime_row(hourly, [])
         assert fv.d_morning_jam_m == pytest.approx(6.0 / 3)
         assert fv.max_mj_sp == 50.0
         assert fv.d_day_m == pytest.approx(30.0 / 3)
@@ -67,7 +76,7 @@ class TestTripShares:
                  trip(MON.replace(hour=12), 25.0, 40),
                  trip(MON.replace(hour=15), 250.0, 150),
                  trip(MON.replace(hour=20), 420.0, 260)]
-        fv = compute_features([], trips, lifetime_window([], trips))
+        fv = lifetime_row([], trips)
         assert fv.below_10_pr == pytest.approx(25.0)
         assert fv.below_30_pr == pytest.approx(50.0)
         assert fv.over_200 == pytest.approx(50.0)
@@ -79,22 +88,25 @@ class TestTripShares:
     def test_boundary_lengths_are_not_below(self):
         trips = [trip(MON.replace(hour=9), 10.0, 20),
                  trip(MON.replace(hour=12), 30.0, 40)]
-        fv = compute_features([], trips, lifetime_window([], trips))
+        fv = lifetime_row([], trips)
         assert fv.below_10_pr == 0.0
         assert fv.below_30_pr == pytest.approx(50.0)
 
 
 def test_empty_window_returns_none():
-    w = Window("weekly", MON, MON + timedelta(days=7))
-    assert compute_features([], [], w) is None
-    later = [rec(MON + timedelta(days=30), 5.0, 30.0, 40.0)]
-    assert compute_features(later, [], w) is None
+    """A window without activity gets no row."""
+    for kind in WINDOW_KINDS:
+        assert compute_feature_table([], [], kind).values.shape == (0, len(FEATURE_NAMES))
+    hourly = [rec(MON.replace(hour=10), 5.0, 30.0, 40.0),
+              rec(MON + timedelta(days=30), 5.0, 30.0, 40.0)]
+    table = compute_feature_table(hourly, [], "weekly", frozenset(), UTC)
+    assert table.window_starts == (MON, MON + timedelta(days=28))
 
 
 def test_no_mileage_never_divides_by_zero():
     hourly = [rec(MON.replace(hour=10), 0.0, 0.0, 0.0,
                   bands=(0.0,) * 5, counts=(3, 0, 0, 1, 0, 0, 0, 0, 0))]
-    fv = compute_features(hourly, [], lifetime_window(hourly, []))
+    fv = lifetime_row(hourly, [])
     assert "no_mileage" in fv.quality_flags
     assert fv.a1 == 0.0 and fv.d1 == 0.0
     assert fv.day_m_pr == 0.0 and fv.m_pr_below_20 == 0.0
@@ -103,7 +115,7 @@ def test_no_mileage_never_divides_by_zero():
 def test_accel_rates_per_100km():
     hourly = [rec(MON.replace(hour=10), 50.0, 60.0, 90.0,
                   counts=(2, 1, 0, 4, 0, 0, 1, 0, 0))]
-    fv = compute_features(hourly, [], lifetime_window(hourly, []))
+    fv = lifetime_row(hourly, [])
     assert fv.a1 == pytest.approx(100.0 * 2 / 50.0)
     assert fv.a2 == pytest.approx(100.0 * 1 / 50.0)
     assert fv.d1 == pytest.approx(100.0 * 4 / 50.0)
@@ -112,38 +124,52 @@ def test_accel_rates_per_100km():
 
 class TestWindows:
     def test_weekly_windows_start_on_local_mondays(self):
-        hourly = [rec(SUN.replace(hour=12), 5.0, 30.0, 40.0),
+        hourly = [rec(SUN.replace(hour=20), 5.0, 30.0, 40.0),
                   rec(MON.replace(hour=12), 5.0, 30.0, 40.0)]
-        wins = weekly_windows(hourly, [], UTC)
-        assert len(wins) == 2
-        for w in wins:
-            assert w.start.weekday() == 0
-            assert w.start.hour == 0
-            assert w.end - w.start == timedelta(days=7)
+        table = compute_feature_table(hourly, [], "weekly", frozenset(), UTC)
+        assert table.window_kinds == ("weekly", "weekly")
+        assert table.window_starts == (MON - timedelta(days=7), MON)
+        # the same instants fall on Monday in UTC+10: one week, local midnight
+        plus10 = timezone(timedelta(hours=10))
+        table = compute_feature_table(hourly, [], "weekly", frozenset(), plus10)
+        assert table.window_starts == (datetime(2021, 6, 7, tzinfo=plus10),)
+        assert table.values[0, FEATURE_NAMES.index("mileage")] == 10.0
 
     def test_lifetime_window_spans_activity(self):
-        hourly = [rec(MON, 5.0, 30.0, 40.0),
-                  rec(MON + timedelta(days=40), 5.0, 30.0, 40.0)]
-        w = lifetime_window(hourly, [])
-        assert w.contains(hourly[0].hour_start)
-        assert w.contains(hourly[1].hour_start)
+        hourly = [rec(MON + timedelta(days=40), 5.0, 30.0, 40.0),
+                  rec(MON, 5.0, 30.0, 40.0)]
+        trips = [trip(MON - timedelta(hours=1), 3.0, 10)]
+        table = compute_feature_table(hourly, trips, "lifetime", frozenset(), UTC)
+        assert table.window_kinds == ("lifetime",)
+        assert table.window_starts == (trips[0].start,)
+        assert table.values[0, FEATURE_NAMES.index("mileage")] == 10.0
+        # on a tie the hourly record's start, offset and all, is the window's
+        local = MON.astimezone(timezone(timedelta(hours=2)))
+        table = compute_feature_table([rec(local, 5.0, 30.0, 40.0)], [trip(MON, 3.0, 10)],
+                                      "lifetime", frozenset(), UTC)
+        assert table.window_starts[0].isoformat() == local.isoformat()
 
     def test_lifetime_window_needs_activity(self):
-        with pytest.raises(ValueError):
-            lifetime_window([], [])
+        table = compute_feature_table([], [], "lifetime", frozenset(), UTC)
+        assert table.device_ids == table.window_starts == ()
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            Window("monthly", MON, MON + timedelta(days=30))
-        with pytest.raises(ValueError):
-            Window("weekly", MON, MON)
+            compute_feature_table([], [], "monthly", frozenset(), UTC)
+        # weekly windows are half-open: next Monday 00:00 starts the next week
+        hourly = [rec(MON + timedelta(days=6, hours=23), 5.0, 30.0, 40.0),
+                  rec(MON + timedelta(days=7), 7.0, 30.0, 40.0)]
+        table = compute_feature_table(hourly, [], "weekly", frozenset(), UTC)
+        assert table.window_starts == (MON, MON + timedelta(days=7))
+        assert table.values[:, FEATURE_NAMES.index("mileage")].tolist() == [5.0, 7.0]
 
     def test_weekly_table_one_row_per_active_week(self):
         hourly = [rec(MON.replace(hour=10), 5.0, 30.0, 40.0),
                   rec(MON + timedelta(days=14, hours=10), 5.0, 30.0, 40.0)]
         table = compute_feature_table(hourly, [], "weekly", frozenset(), UTC)
         assert len(table) == 2
-        assert table[0].window.start + timedelta(days=14) == table[1].window.start
+        assert table.device_ids == ("d1", "d1")
+        assert table.window_starts[0] + timedelta(days=14) == table.window_starts[1]
 
     def test_unknown_window_kind(self):
         with pytest.raises(ValueError):
@@ -167,15 +193,15 @@ def test_feature_row_round_trip(tmp_path):
     hourly = [rec(MON.replace(hour=10), 30.0, 40.0, 80.0,
                   counts=(1, 0, 0, 2, 0, 0, 0, 0, 1))]
     trips = [trip(MON.replace(hour=10), 30.0, 45)]
-    fv = compute_features(hourly, trips, lifetime_window(hourly, trips))
+    written = compute_feature_table(hourly, trips, "lifetime")
     path = tmp_path / "features.csv"
-    path.write_text(render_csv(FEATURE_CSV_COLUMNS, [feature_to_row(fv)]))
+    path.write_text(render_csv(FEATURE_CSV_COLUMNS, feature_rows(written)))
     table = read_feature_table(path)
-    assert table.device_ids == (fv.device_id,)
-    assert table.quality_flags == (fv.quality_flags,)
-    assert dict(zip(FEATURE_NAMES, table.values[0].tolist())) == fv.as_dict()
+    assert table.device_ids == written.device_ids == ("d1",)
+    assert table.quality_flags == written.quality_flags
+    assert table.values.tolist() == written.values.tolist()
     assert table.window_kinds == ("lifetime",)
-    assert table.window_starts == (fv.window.start,)
+    assert table.window_starts == written.window_starts
 
 
 class TestReadFeatureTable:
@@ -199,9 +225,6 @@ class TestReadFeatureTable:
         assert table.values[1, FEATURE_NAMES.index("avg_sp")] == \
             FEATURE_NAMES.index("avg_sp")
         assert table.quality_flags == ((), ("no_mileage", "no_trips"))
-        cols = table.columns(["a1", "mileage"])
-        assert cols.flags.c_contiguous
-        assert cols.tolist() == [[FEATURE_NAMES.index("a1"), 0.0]] * 2
 
     @pytest.mark.parametrize("cells", [
         {"mileage": "abc"}, {"avg_sp": ""}, {"window_kind": "monthly"},
@@ -228,34 +251,34 @@ _FLAGS = st.lists(st.sampled_from(("no_mileage", "no_trips")), unique=True)
 
 
 @st.composite
-def feature_vectors(draw):
-    start = draw(_STARTS)
+def feature_tables(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                           min_size=len(FEATURE_NAMES), max_size=len(FEATURE_NAMES)))
-    return FeatureVector(device_id=draw(_IDS),
-                         window=Window(draw(st.sampled_from(WINDOW_KINDS)), start,
-                                       start + timedelta(days=7)),
-                         quality_flags=tuple(sorted(draw(_FLAGS))),
-                         **dict(zip(FEATURE_NAMES, values)))
+                           min_size=n * len(FEATURE_NAMES), max_size=n * len(FEATURE_NAMES)))
+    return FeatureTable(tuple(draw(_IDS) for _ in range(n)),
+                        tuple(draw(st.sampled_from(WINDOW_KINDS)) for _ in range(n)),
+                        tuple(draw(_STARTS) for _ in range(n)),
+                        tuple(tuple(sorted(draw(_FLAGS))) for _ in range(n)),
+                        np.array(values, dtype=float).reshape(n, len(FEATURE_NAMES)))
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.lists(feature_vectors(), max_size=5))
-def test_feature_csv_round_trip(vectors):
+@given(feature_tables())
+def test_feature_csv_round_trip(written):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "features.csv"
-        path.write_text(render_csv(FEATURE_CSV_COLUMNS, [feature_to_row(fv) for fv in vectors],
-                                   "# provenance"), encoding="utf-8")
+        path.write_text(render_csv(FEATURE_CSV_COLUMNS, feature_rows(written), "# provenance"),
+                        encoding="utf-8")
         table = read_feature_table(path)
-    assert table.device_ids == tuple(fv.device_id for fv in vectors)
-    assert table.window_kinds == tuple(fv.window.kind for fv in vectors)
+    assert table.device_ids == written.device_ids
+    assert table.window_kinds == written.window_kinds
     assert [s.isoformat() for s in table.window_starts] == \
-        [fv.window.start.isoformat() for fv in vectors]
-    assert table.quality_flags == tuple(fv.quality_flags for fv in vectors)
-    assert table.values.shape == (len(vectors), len(FEATURE_NAMES))
+        [s.isoformat() for s in written.window_starts]
+    assert table.quality_flags == written.quality_flags
+    assert table.values.shape == written.values.shape
     assert table.values.flags.c_contiguous
     # exact equality; -0.0 is written as "0" and reads back as 0.0, which == -0.0
-    assert table.values.tolist() == [[getattr(fv, n) for n in FEATURE_NAMES] for fv in vectors]
+    assert table.values.tolist() == written.values.tolist()
 
 
 def test_header_only_features_csv(tmp_path):
@@ -307,7 +330,7 @@ def activity(draw):
 @given(activity())
 def test_feature_invariants(data):
     hourly, trips = data
-    fv = compute_features(hourly, trips, lifetime_window(hourly, trips))
+    fv = lifetime_row(hourly, trips)
     assert fv.below_10_pr <= fv.below_30_pr + 1e-12
     assert fv.over_400 <= fv.over_200 + 1e-12
     assert fv.m_pr_below_20 <= fv.m_pr_below_60 + 1e-12

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from drivescore.ingest import (AXES, EVENT_KINDS, MAX_ABS_ACCEL_G,
                                SUSPECT_SPEED_KPH, DeviceLog, EventPackage,
                                EventValidationError, event_from_obj,
-                               iter_log_lines, parse_event_log,
-                               serialize_logs, validate_log)
+                               iter_log_lines, parse_event_log, validate_log)
 from conftest import jsonl, parse_objs
 
 UTC = timezone.utc
@@ -103,7 +102,7 @@ class TestParseEventLog:
                    axis="lateral", accel_g=0.42),
                 ev("ignition_off", "2021-05-03T10:02:00Z")]
         first = parse_objs(objs)
-        text = serialize_logs(first.logs)
+        text = "".join(iter_log_lines(first.logs))
         second = parse_event_log(text.splitlines())
         assert not second.skipped
         assert second.logs[0].events == first.logs[0].events
@@ -126,7 +125,7 @@ class TestParseEventLog:
 
     def test_year_below_1000_round_trips(self):
         first = parse_objs([pos("0999-05-03T10:00:00Z", 1.0)])
-        text = serialize_logs(first.logs)
+        text = "".join(iter_log_lines(first.logs))
         assert '"ts":"0999-05-03T10:00:00Z"' in text
         assert parse_event_log(text.splitlines()).logs == first.logs
 
@@ -173,7 +172,7 @@ def _log_of(pkg):
 
 @given(event_packages())
 def test_obj_round_trip_is_identity(pkg):
-    line = serialize_logs([_log_of(pkg)])
+    line = "".join(iter_log_lines([_log_of(pkg)]))
     assert parse_event_log([line]).logs == [_log_of(pkg)]
 
 
@@ -193,7 +192,8 @@ def test_line_is_compact_json_dumps(pkg):
         obj["speed_kph"] = pkg.speed_kph
     if pkg.axis is not None:
         obj.update(axis=pkg.axis, accel_g=pkg.accel_g)
-    assert serialize_logs([_log_of(pkg)]) == json.dumps(obj, separators=(",", ":")) + "\n"
+    (line,) = iter_log_lines([_log_of(pkg)])
+    assert line == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 @given(st.lists(event_packages(device=st.sampled_from(["a", "b\"", "c\u00e9"])),
@@ -203,7 +203,7 @@ def test_serialize_then_parse_returns_the_logs(pkgs):
     for pkg in dict.fromkeys(pkgs):  # parse drops exact duplicates
         by_device.setdefault(pkg.device_id, []).append(pkg)
     logs = [DeviceLog.from_events(dev, evs) for dev, evs in by_device.items()]
-    result = parse_event_log(serialize_logs(logs).encode("utf-8").splitlines())
+    result = parse_event_log("".join(iter_log_lines(logs)).encode("utf-8").splitlines())
     assert not result.skipped
     assert result.logs == logs
 
@@ -214,7 +214,7 @@ def test_line_iterator_yields_the_serialized_text_line_by_line(pkgs):
     lines = list(iter_log_lines(logs))
     assert len(lines) == len(pkgs)
     assert all(ln.endswith("}\n") and ln.count("\n") == 1 for ln in lines)
-    assert "".join(lines) == serialize_logs(logs)
+    assert lines == ["".join(iter_log_lines([log])) for log in logs]
 
 
 class TestValidateLog:

@@ -74,3 +74,4 @@ def test_command_imports_only_what_it_calls(inputs, tmp_path, command):
     assert "drivescore.cli" in modules
     assert ("numpy" in modules) is (command not in NUMPY_FREE)
     assert ("drivescore.synthgen" in modules) is (command == "synth")
+    assert ("drivescore.trips" in modules) is (command in {"synth", "aggregate", "features"})

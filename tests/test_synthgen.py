@@ -7,7 +7,7 @@ from datetime import timezone
 import numpy as np
 import pytest
 
-from drivescore.features import compute_feature_table
+from drivescore.features import FEATURE_NAMES, compute_feature_table
 from drivescore.ingest import iter_log_lines
 from drivescore.labeling import build_targets, classify_severity
 from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, LONG_TRIP_LO,
@@ -15,7 +15,7 @@ from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, LONG_TRIP_LO,
                                  SynthConfig, SynthResult, _BASE_HOUR_WEIGHTS,
                                  generate_event_log, generate_population,
                                  iter_event_logs, oracle_features,
-                                 planted_probability, sample_profile)
+                                 planted_probabilities, sample_profile)
 from drivescore.trips import aggregate_hourly, segment_trips
 
 UTC = timezone.utc
@@ -31,7 +31,8 @@ class TestDeterminism:
     def test_same_seed_same_population(self):
         a = generate_population(small_config())
         b = generate_population(small_config())
-        assert [f.as_dict() for f in a.features] == [f.as_dict() for f in b.features]
+        assert a.features.device_ids == b.features.device_ids
+        assert a.features.values.tolist() == b.features.values.tolist()
         assert a.claims == b.claims
         assert a.outcomes == b.outcomes
         assert a.truth() == b.truth()
@@ -39,7 +40,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         a = generate_population(small_config())
         b = generate_population(small_config(seed=43))
-        assert [f.as_dict() for f in a.features] != [f.as_dict() for f in b.features]
+        assert a.features.values.tolist() != b.features.values.tolist()
 
     def test_sample_profile_is_stream_deterministic(self):
         p1 = sample_profile("d0", np.random.default_rng(7))
@@ -79,7 +80,7 @@ class TestConfigAndProfileValidation:
 class TestPlantedTruth:
     def test_outcomes_recoverable_from_claims(self):
         res = generate_population(small_config(n_drivers=300, weeks=8))
-        devices = [f.device_id for f in res.features]
+        devices = res.features.device_ids
         for target in ("any", "weak", "medium", "strong"):
             assert build_targets(res.claims, devices, target) == \
                 res.outcomes[target]
@@ -95,12 +96,13 @@ class TestPlantedTruth:
 
     def test_planted_probability_is_logistic(self):
         res = generate_population(small_config())
-        fv = res.features[0]
         beta = DEFAULT_PLANTED_BETAS["weak"]
-        eta = beta["const"] + sum(v * fv.as_dict()[k]
-                                  for k, v in beta.items() if k != "const")
-        assert planted_probability(fv, beta) == pytest.approx(
-            1 / (1 + math.exp(-eta)), rel=1e-12)
+        probs = planted_probabilities(res.features, beta)
+        assert len(probs) == res.config.n_drivers
+        for p, row in zip(probs, res.features.values.tolist()):
+            fv = dict(zip(FEATURE_NAMES, row))
+            eta = beta["const"] + sum(v * fv[k] for k, v in beta.items() if k != "const")
+            assert p == pytest.approx(1 / (1 + math.exp(-eta)), rel=1e-12)
 
     def test_truth_payload(self):
         res = generate_population(small_config())
@@ -154,13 +156,13 @@ class TestEventLogRealism:
 def test_oracle_features_are_coherent():
     for seed in (0, 5, 9):
         p = sample_profile(f"o{seed}", np.random.default_rng(seed))
-        fv = oracle_features(p, 26, SYNTH_EPOCH)
-        assert fv.below_10_pr <= fv.below_30_pr
-        assert fv.over_400 <= fv.over_200
-        assert 0 <= fv.over_200 <= 100
-        assert fv.mileage > 0
-        assert fv.max_sp == p.peak_sp
-        assert fv.avg_trip_mil > 0
+        fv = oracle_features(p, 26)
+        assert fv["below_10_pr"] <= fv["below_30_pr"]
+        assert fv["over_400"] <= fv["over_200"]
+        assert 0 <= fv["over_200"] <= 100
+        assert fv["mileage"] > 0
+        assert fv["max_sp"] == p.peak_sp
+        assert fv["avg_trip_mil"] > 0
 
 
 class TestDeskScaleClosedLoop:
@@ -204,9 +206,9 @@ class TestDeskScaleClosedLoop:
         trips = segment_trips(log)
         hourly = aggregate_hourly(log, trips, UTC)
         table = compute_feature_table(hourly, trips, "lifetime", frozenset(), UTC)
-        assert len(table) == 1
-        got = table[0].as_dict()
-        want = oracle_features(profile, weeks, SYNTH_EPOCH).as_dict()
+        assert table.device_ids == ("desk0",)
+        got = dict(zip(FEATURE_NAMES, table.values[0].tolist()))
+        want = oracle_features(profile, weeks)
         for name in self.CHECKED:
             rel = abs(got[name] - want[name]) / max(abs(want[name]), 1e-12)
             assert rel <= 0.10, (name, got[name], want[name], rel)

@@ -9,7 +9,7 @@ from zoneinfo import ZoneInfo
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivescore.features import compute_feature_table
+from drivescore.features import FEATURE_NAMES, compute_feature_table
 from drivescore.ingest import parse_event_log
 from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
@@ -317,12 +317,14 @@ def test_fall_back_week_features():
     start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
     log = parse_objs(drive(start, 180, 42.9)).logs[0]
     trips = segment_trips(log)
-    (fv,) = compute_feature_table(aggregate_hourly(log, trips, BERLIN), trips,
+    table = compute_feature_table(aggregate_hourly(log, trips, BERLIN), trips,
                                   "weekly", tz=BERLIN)
-    assert fv.window.start.isoformat() == "2019-10-21T00:00:00+02:00"
-    assert fv.mileage == pytest.approx(128.7, rel=1e-9)
-    assert fv.d_total_m == pytest.approx(128.7, rel=1e-9)
-    assert fv.d_night_m == pytest.approx(128.7, rel=1e-9)
+    (start,) = table.window_starts
+    assert start.isoformat() == "2019-10-21T00:00:00+02:00"
+    fv = dict(zip(FEATURE_NAMES, table.values[0].tolist()))
+    assert fv["mileage"] == pytest.approx(128.7, rel=1e-9)
+    assert fv["d_total_m"] == pytest.approx(128.7, rel=1e-9)
+    assert fv["d_night_m"] == pytest.approx(128.7, rel=1e-9)
 
 
 def _tz(name):
