@@ -48,6 +48,35 @@ class TestEventPipeline:
         assert report["skipped"] == []
         assert (tmp_path / "parsed.jsonl").exists()
 
+    def test_parse_report_lists_each_devices_validation_issues(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            f'{{"device":"{dev}","ts":"2021-01-04T10:{m}:00Z","kind":"{kind}"{extra}}}\n'
+            for dev, m, kind, extra in [
+                ("good", "00", "ignition_on", ""),
+                ("good", "05", "position", ',"lat":0.0,"lon":1.0'),
+                ("good", "08", "speed", ',"speed_kph":300.0'),  # at the threshold: clean
+                ("good", "10", "ignition_off", ""),
+                ("bad", "00", "ignition_on", ""),
+                ("bad", "10", "ignition_on", ""),
+                ("bad", "20", "speed", ',"speed_kph":350.5'),
+                ("bad", "30", "ignition_off", ""),
+                ("bad", "40", "ignition_off", ""),
+                ("bad", "50", "ignition_on", "")]))
+        assert run_cli("parse", "--events", events, "--out-dir", tmp_path) == 0
+        report = json.loads((tmp_path / "parse_report.json").read_text())
+        at = "2021-01-04 10:{}:00+00:00".format
+        assert report["validation"] == {"bad": [
+            {"code": "unterminated_trip",
+             "message": f"unterminated trip: ignition_on at {at('00')} "
+                        f"followed by ignition_on at {at('10')}"},
+            {"code": "suspect_speed", "message": f"suspect speed 350.5 kph at {at('20')}"},
+            {"code": "unmatched_ignition_off",
+             "message": f"ignition_off at {at('40')} without ignition_on"},
+            {"code": "unterminated_trip",
+             "message": f"unterminated trip: ignition_on at {at('50')} never closed"},
+        ]}
+
     def test_aggregate_then_features(self, small_pop, tmp_path):
         assert run_cli("aggregate", "--events", small_pop / "events.jsonl",
                        "--tz", "UTC", "--out-dir", tmp_path) == 0
