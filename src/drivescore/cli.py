@@ -29,7 +29,7 @@ from zoneinfo import ZoneInfo
 
 from . import __version__
 from .fileio import (WINDOW_KINDS, atomic_write_chunks, atomic_write_text,
-                     provenance_line, read_csv_records, render_csv, sha256_digest)
+                     iter_csv_records, provenance_line, render_csv, sha256_digest)
 from .ingest import (EventValidationError, iter_log_lines, parse_event_file,
                      validate_log)
 from .labeling import (CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
@@ -96,6 +96,14 @@ def _opt(ns, key: str, cast, default):
         raise ConfigError(f"config key {key!r}: bad value {raw!r} ({exc})") from None
 
 
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a range check it fails raised as ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _require(path: str | Path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -139,7 +147,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_claims(path: Path):
-    return read_csv_records(path, CLAIMS_CSV_COLUMNS, claim_from_row)
+    return list(iter_csv_records(path, CLAIMS_CSV_COLUMNS, claim_from_row))
 
 
 # ---------------------------------------------------------------- commands
@@ -148,7 +156,7 @@ def cmd_parse(ns) -> int:
     events_path = _require(ns.events, "events file")
     result = parse_event_file(events_path)
     logs = sorted(result.logs, key=lambda l: l.device_id)
-    reports = {log.device_id: validate_log(log) for log in logs}
+    issues = {log.device_id: validate_log(log) for log in logs}
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     digest = sha256_digest(events_path)
     atomic_write_chunks(out_dir / "parsed.jsonl", iter_log_lines(logs))
@@ -157,8 +165,8 @@ def cmd_parse(ns) -> int:
         "n_events": result.n_events,
         "n_devices": len(result.logs),
         "skipped": [{"line": s.line_no, "reason": s.reason} for s in result.skipped],
-        "validation": {dev: [{"code": i.code, "message": i.message} for i in rep.issues]
-                       for dev, rep in reports.items() if rep.issues},
+        "validation": {dev: [{"code": i.code, "message": i.message} for i in found]
+                       for dev, found in issues.items() if found},
         "provenance": _provenance_obj(None, {"events": digest}),
     })
     print(f"parsed {result.n_events} events from {result.n_lines} lines "
@@ -174,6 +182,8 @@ def cmd_aggregate(ns) -> int:
     events_path = _require(ns.events, "events file")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
     gap = _opt(ns, "gap_threshold_s", float, DEFAULT_GAP_THRESHOLD_S)
+    if not gap > 0:  # inf is valid: it never splits
+        raise ConfigError(f"gap_threshold_s must be positive, got {gap}")
     result = parse_event_file(events_path)
     for s in result.skipped:
         print(f"line {s.line_no}: {s.reason}", file=sys.stderr)
@@ -210,9 +220,9 @@ def cmd_features(ns) -> int:
         raise ConfigError(f"window must be one of {WINDOW_KINDS}, got {window!r}")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
     calendar = _calendar(ns)
-    hourly = read_csv_records(hourly_path, HOURLY_CSV_COLUMNS, hourly_from_row)
-    trips = read_csv_records(trips_path, TRIP_CSV_COLUMNS, trip_from_row)
-    table = compute_feature_table(hourly, trips, window, calendar, tz)
+    table = compute_feature_table(
+        iter_csv_records(hourly_path, HOURLY_CSV_COLUMNS, hourly_from_row),
+        iter_csv_records(trips_path, TRIP_CSV_COLUMNS, trip_from_row), window, calendar, tz)
     prov = provenance_line(None, {"hourly": sha256_digest(hourly_path),
                                   "trips": sha256_digest(trips_path)})
     out_dir = Path(_opt(ns, "out_dir", str, "."))
@@ -278,13 +288,13 @@ def _fit_targets(ns, write_models: bool):
     target; returns the reports.
     """
     from .evaluation import SplitSpec, evaluate_model
-    from .glm import backward_eliminate, model_to_dict
+    from .glm import backward_eliminate, check_alpha, model_to_dict
 
+    alpha = _checked(check_alpha, _opt(ns, "alpha", float, 0.05))
+    spec = _checked(SplitSpec, test_fraction=_opt(ns, "test_fraction", float, 0.10),
+                    seed=_opt(ns, "seed", int, 0),
+                    stratify=_opt(ns, "stratify", bool, False))
     table, claims, inputs = _read_model_inputs(ns)
-    alpha = _opt(ns, "alpha", float, 0.05)
-    spec = SplitSpec(test_fraction=_opt(ns, "test_fraction", float, 0.10),
-                     seed=_opt(ns, "seed", int, 0),
-                     stratify=_opt(ns, "stratify", bool, False))
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     reports = []
     for target in TARGETS:
@@ -377,8 +387,8 @@ def cmd_premium(ns) -> int:
             raise ConfigError(f"{key} must be finite, got {value}")
         if value < 0:
             raise ConfigError(f"{key} must be non-negative, got {value}")
-    scores = read_csv_records(scores_path, ("device", "probability"),
-                              lambda r: (r["device"], float(r["probability"])))
+    scores = list(iter_csv_records(scores_path, ("device", "probability"),
+                                   lambda cells: (cells[0], float(cells[1]))))
     out_rows = [[dev, p, compute_premium(p, loss, admin, margin)] for dev, p in scores]
     prov = provenance_line(None, {"scores": sha256_digest(scores_path)})
     out_dir = Path(_opt(ns, "out_dir", str, "."))
@@ -462,7 +472,9 @@ def cmd_synth(ns) -> int:
         raise ConfigError("population size required (--n or config key 'n')")
     weeks = _opt(ns, "weeks", int, 26)
     seed = _opt(ns, "seed", int, 0)
-    config = SynthConfig(n_drivers=n, weeks=weeks, seed=seed)
+    config = _checked(SynthConfig, n_drivers=n, weeks=weeks, seed=seed)
+    if ns.logs_limit is not None and ns.logs_limit < 0:
+        raise ConfigError(f"logs_limit must be non-negative, got {ns.logs_limit}")
     result = generate_population(config)
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     prov = provenance_line(seed)

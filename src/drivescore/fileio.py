@@ -112,11 +112,3 @@ def iter_csv_records(path: str | Path, columns: Sequence[str],
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: data row {i}: {exc}") from None
             yield record
-
-
-def read_csv_records(path: str | Path, columns: Sequence[str],
-                     parse_row: Callable[[dict[str, str]], T]) -> list[T]:
-    """Every data row of a CSV that must carry ``columns``, parsed from a dict
-    of those columns; errors as in ``iter_csv_records``."""
-    return list(iter_csv_records(path, columns,
-                                 lambda cells: parse_row(dict(zip(columns, cells)))))

@@ -324,6 +324,13 @@ def predict_proba(model, features: Mapping[str, float | np.ndarray]):
     return float(p[0]) if shape == () else p
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` if it is a significance level in (0, 1], else ValueError."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
+    return alpha
+
+
 def backward_eliminate(design: DesignMatrix, alpha: float = 0.05,
                        target: str = "", tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER) -> FittedModel:
@@ -333,8 +340,7 @@ def backward_eliminate(design: DesignMatrix, alpha: float = 0.05,
     p-values resolved toward the earliest column.  The intercept is never a
     candidate.  Eliminating everything leaves the intercept-only model.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
+    check_alpha(alpha)
     current = design
     while True:
         model = fit_logistic(current, target=target, tol=tol, max_iter=max_iter)

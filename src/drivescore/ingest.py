@@ -1,4 +1,4 @@
-"""Raw telematics event model and JSONL log parsing/validation.
+"""JSONL telematics event logs: parsing into columns, validation, serialization.
 
 The portable log format is JSON lines, one event object per line:
 
@@ -15,20 +15,17 @@ import json
 import math
 import struct
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice
 from operator import eq, le
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 # Event kinds and acceleration axes by their uint8 codes in a DeviceLog.
 KIND_NAMES = ("ignition_on", "ignition_off", "position", "speed", "acceleration")
 IGNITION_ON, IGNITION_OFF, POSITION, SPEED, ACCELERATION = range(len(KIND_NAMES))
 AXIS_NAMES = (None, "longitudinal", "lateral")  # code 0: the event has no axis
 LONGITUDINAL, LATERAL = 1, 2
-EVENT_KINDS = frozenset(KIND_NAMES)
-AXES = frozenset(AXIS_NAMES[1:])
 _KIND_CODES = {k: i for i, k in enumerate(KIND_NAMES)}
 _AXIS_CODES = {a: i for i, a in enumerate(AXIS_NAMES) if a is not None}
 
@@ -48,27 +45,6 @@ _scan_once = json.JSONDecoder().scan_once
 
 class EventValidationError(ValueError):
     """A single event record violates the schema or its invariants."""
-
-
-class EventPackage(NamedTuple):
-    """One raw telematics record, sent on a triggering condition rather than a clock.
-
-    Two events are duplicates exactly when they are equal, so an event is its
-    own duplicate-detection key.
-    """
-
-    device_id: str
-    timestamp: datetime  # tz-aware UTC, second precision
-    kind: str
-    latitude: float | None = None
-    longitude: float | None = None
-    speed_kph: float | None = None
-    axis: str | None = None
-    accel_g: float | None = None
-
-    @property
-    def has_coords(self) -> bool:
-        return self.latitude is not None and self.longitude is not None
 
 
 def utc_datetime(seconds: int) -> datetime:
@@ -92,8 +68,7 @@ class DeviceLog:
     one second in arrival order), ``kind`` and ``axis`` hold codes into
     ``KIND_NAMES`` and ``AXIS_NAMES``, and the float columns hold NaN where
     the event has no such value.  A log holds at least one event and no two
-    equal ones; ``DeviceLogBuilder`` makes it.  ``events`` shows the rows as
-    ``EventPackage`` tuples, and two logs are equal when their events are.
+    equal ones; ``DeviceLogBuilder`` makes it.
     """
 
     device_id: str
@@ -104,47 +79,6 @@ class DeviceLog:
     lon: array = field(repr=False)
     speed_kph: array = field(repr=False)
     accel_g: array = field(repr=False)
-
-    @classmethod
-    def from_events(cls, device_id: str, events: Iterable[EventPackage]) -> "DeviceLog":
-        """The log of ``events`` in time order, exact duplicates dropped."""
-        b = DeviceLogBuilder(device_id)
-        for e in events:
-            b.append(epoch_seconds(e.timestamp), _KIND_CODES[e.kind], _AXIS_CODES.get(e.axis, 0),
-                     *(NAN if v is None else v
-                       for v in (e.latitude, e.longitude, e.speed_kph, e.accel_g)))
-        return b.build()[0]
-
-    @property
-    def events(self) -> Sequence[EventPackage]:
-        return _Events(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, DeviceLog):
-            return NotImplemented
-        return self.device_id == other.device_id and self.events == other.events
-
-
-class _Events(Sequence):
-    """A DeviceLog's rows as EventPackage tuples, made on access."""
-
-    def __init__(self, log: DeviceLog):
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log.ts)
-
-    def __getitem__(self, i: int) -> EventPackage:
-        g = self._log
-        return EventPackage(g.device_id, utc_datetime(g.ts[i]), KIND_NAMES[g.kind[i]],
-                            _present(g.lat[i]), _present(g.lon[i]), _present(g.speed_kph[i]),
-                            AXIS_NAMES[g.axis[i]], _present(g.accel_g[i]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
 
 # One event as a builder packs it, in 8-byte words so that each column is a
 # strided view: epoch s, lat, lon, speed_kph, accel_g, tag, then kind and axis.
@@ -239,16 +173,6 @@ class ParseResult:
 class ValidationIssue:
     code: str
     message: str
-
-
-@dataclass
-class ValidationReport:
-    device_id: str
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.issues
 
 
 def _parse_timestamp(raw: object) -> int:
@@ -350,13 +274,6 @@ def _event_fields(obj: object) -> tuple:
     return device, ts, kind, axis, lat, lon, speed, accel
 
 
-def event_from_obj(obj: dict) -> EventPackage:
-    """Build a validated EventPackage from a decoded JSON object."""
-    device, ts, kind, axis, lat, lon, speed, accel = _event_fields(obj)
-    return EventPackage(device, utc_datetime(ts), KIND_NAMES[kind], _present(lat),
-                        _present(lon), _present(speed), AXIS_NAMES[axis], _present(accel))
-
-
 def _loads(line: str):
     """``json.loads`` of a stripped line."""
     try:
@@ -455,14 +372,13 @@ def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
             yield line + "}\n"
 
 
-def validate_log(log: DeviceLog) -> ValidationReport:
-    """Report invariant violations without mutating the log.
+def validate_log(log: DeviceLog) -> list[ValidationIssue]:
+    """The log's invariant violations in time order; the log is not changed.
 
     Checks ignition pairing and implausible speeds (> 300 kph is flagged as
     suspect, not dropped); time order is the DeviceLog's own invariant.
     """
-    report = ValidationReport(device_id=log.device_id)
-    issues = report.issues
+    issues = []
     ts, kind, speed = log.ts, log.kind, log.speed_kph
     ignitions = compress(count(), map(IGNITION_OFF.__ge__, kind))
     suspect = compress(count(), map(SUSPECT_SPEED_KPH.__lt__, speed))
@@ -486,4 +402,4 @@ def validate_log(log: DeviceLog) -> ValidationReport:
     if ignition_open is not None:
         issues.append(ValidationIssue("unterminated_trip",
                                       f"unterminated trip: ignition_on at {ignition_open} never closed"))
-    return report
+    return issues

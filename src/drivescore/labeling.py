@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-SEVERITY_CLASSES = ("none", "weak", "medium", "strong")
 TARGETS = ("any", "weak", "medium", "strong")
 
 WEAK_UPPER = 0.05   # r below this (and above 0) is weak
@@ -93,16 +92,13 @@ def build_targets(claims: Sequence[ClaimRecord], devices: Sequence[str],
     return out
 
 
-def claim_from_row(row: dict) -> ClaimRecord:
-    culprit_raw = str(row["culprit"]).strip().lower()
-    if culprit_raw in ("1", "true", "yes"):
-        culprit = True
-    elif culprit_raw in ("0", "false", "no"):
-        culprit = False
-    else:
-        raise ClaimValidationError(f"culprit must be boolean-like, got {row['culprit']!r}")
-    return ClaimRecord(row["device"], float(row["loss_size"]),
-                       float(row["ins_sum"]), culprit)
+def claim_from_row(cells: Sequence[str]) -> ClaimRecord:
+    """The claim of one row's cells in ``CLAIMS_CSV_COLUMNS`` order."""
+    device, loss_size, ins_sum, culprit = cells
+    flag = culprit.strip().lower()
+    if flag not in ("1", "true", "yes", "0", "false", "no"):
+        raise ClaimValidationError(f"culprit must be boolean-like, got {culprit!r}")
+    return ClaimRecord(device, float(loss_size), float(ins_sum), flag in ("1", "true", "yes"))
 
 
 def compute_premium(p_accident: float, predicted_loss: float,

@@ -171,7 +171,7 @@ def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD
     neighbour.  ``aggregate_hourly`` applies the same rule, so hourly
     mileage sums to trip mileage.
     """
-    if gap_threshold_s <= 0:
+    if not gap_threshold_s > 0:
         raise ValueError("gap_threshold_s must be positive")
     starts, ends = _spans(np.frombuffer(log.ts, np.int64), np.frombuffer(log.kind, np.uint8),
                           gap_threshold_s)
@@ -337,13 +337,12 @@ def hourly_to_row(rec: HourlyRecord) -> list:
             rec.max_speed_kph]
 
 
-def hourly_from_row(row: dict) -> HourlyRecord:
-    return HourlyRecord(
-        row["device"], datetime.fromisoformat(row["hour_start"]),
-        float(row["mileage_km"]), float(row["mean_speed_kph"]),
-        float(row["max_kph"]),
-        *(int(row[k]) for k in ACCEL_BAND_NAMES),
-        *(float(row[k]) for k in SPEED_BAND_NAMES))
+def hourly_from_row(cells: Sequence[str]) -> HourlyRecord:
+    """The record of one row's cells in ``HOURLY_CSV_COLUMNS`` order."""
+    bands = 4 + len(ACCEL_BAND_NAMES)  # where the speed-band mileage starts
+    return HourlyRecord(cells[0], datetime.fromisoformat(cells[1]), float(cells[2]),
+                        float(cells[3]), float(cells[-1]), *map(int, cells[4:bands]),
+                        *map(float, cells[bands:-1]))
 
 
 def trip_to_row(trip: Trip) -> list:
@@ -351,7 +350,8 @@ def trip_to_row(trip: Trip) -> list:
             trip.mileage_km, trip.duration_s, trip.mean_speed_kph]
 
 
-def trip_from_row(row: dict) -> Trip:
-    return Trip(row["device"], datetime.fromisoformat(row["start"]),
-                datetime.fromisoformat(row["end"]), float(row["mileage_km"]),
-                float(row["duration_s"]), float(row["mean_speed_kph"]))
+def trip_from_row(cells: Sequence[str]) -> Trip:
+    """The trip of one row's cells in ``TRIP_CSV_COLUMNS`` order."""
+    device, start, end, *numbers = cells
+    return Trip(device, datetime.fromisoformat(start), datetime.fromisoformat(end),
+                *map(float, numbers))

@@ -1,7 +1,8 @@
-"""Shared fixtures: event-stream and CSV helpers and cached synthetic artifacts."""
+"""Shared fixtures: event-stream, log and CSV helpers and cached synthetic artifacts."""
 import csv
 import json
 import time
+from dataclasses import fields
 from itertools import dropwhile
 from pathlib import Path
 
@@ -26,6 +27,16 @@ def csv_rows(path) -> list[dict[str, str]]:
 
 def jsonl(objs) -> str:
     return "\n".join(json.dumps(o) for o in objs) + "\n"
+
+
+def log_columns(log) -> tuple:
+    """A DeviceLog's device id and the bytes of each column, NaN included."""
+    return (log.device_id, *(getattr(log, f.name).tobytes() for f in fields(log)[1:]))
+
+
+def assert_same_logs(got, want):
+    """The logs hold the same devices and events, in the same order."""
+    assert [log_columns(log) for log in got] == [log_columns(log) for log in want]
 
 
 def parse_objs(objs):

@@ -153,13 +153,15 @@ class TestEventPipeline:
             f'{{"device":"car","ts":"2021-01-04T{t // 3600:02d}:{t // 60 % 60:02d}:'
             f'{t % 60:02d}Z","kind":"position","lat":0.0,"lon":{lon}}}\n'
             for t, lon in fixes))
-        runs = {"default": []} | {gap: ["--gap-threshold-s", gap] for gap in ("600", "1800")}
+        runs = {"default": []} | {gap: ["--gap-threshold-s", gap]
+                                  for gap in ("600", "1800", "inf")}
         for name, flags in runs.items():
             assert run_cli("aggregate", "--events", events, *flags,
                            "--out-dir", tmp_path / name) == 0
         trips = {name: (tmp_path / name / "trips.csv").read_bytes() for name in runs}
         assert len(rows_of(tmp_path / "default" / "trips.csv")) == 2
         assert len(rows_of(tmp_path / "1800" / "trips.csv")) == 1
+        assert trips["inf"] == trips["1800"]  # an infinite threshold never splits
         assert trips["default"] == trips["600"]
         assert (tmp_path / "default" / "hourly.csv").read_bytes() == \
             (tmp_path / "600" / "hourly.csv").read_bytes()
@@ -540,6 +542,36 @@ class TestErrorPaths:
                        "--out-dir", tmp_path) == 0
         assert run_cli("premium", "--scores", tmp_path / "scores.csv", "--loss", 1000,
                        f"{flag}=-1", "--out-dir", tmp_path / "out") == 4
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, config, message", [
+        (["aggregate", "--gap-threshold-s", "nan"], "", "gap_threshold_s must be positive, got nan"),
+        (["aggregate", "--gap-threshold-s", "0"], "", "gap_threshold_s must be positive, got 0.0"),
+        (["aggregate"], "gap_threshold_s = -600", "gap_threshold_s must be positive, got -600.0"),
+        (["aggregate"], "gap_threshold_s = nan", "gap_threshold_s must be positive, got nan"),
+        (["fit", "--alpha", "nan"], "", "alpha must be in (0, 1]"),
+        (["fit", "--alpha", "0"], "", "alpha must be in (0, 1]"),
+        (["evaluate", "--alpha", "2"], "", "alpha must be in (0, 1]"),
+        (["evaluate"], "alpha = nan", "alpha must be in (0, 1]"),
+        (["fit", "--test-fraction", "nan"], "", "test_fraction must lie strictly between 0 and 1"),
+        (["synth", "--n", "20", "--logs", "--logs-limit=-1"], "",
+         "logs_limit must be non-negative, got -1"),
+        (["synth", "--n", "1"], "", "need at least 2 drivers"),
+        (["synth", "--n", "20", "--weeks", "0"], "", "need at least 1 week"),
+        (["synth"], "n = 20\nweeks = 0", "need at least 1 week"),
+    ])
+    def test_out_of_range_option_exits_4_before_reading_input(self, tmp_path, capsys,
+                                                                args, config, message):
+        events = tmp_path / "events.jsonl"
+        events.write_text("{not json\n")  # aggregate reads it only after its options pass
+        absent = tmp_path / "absent.csv"   # the model commands never look at theirs
+        inputs = {"aggregate": ["--events", events], "synth": [],
+                  "fit": ["--features", absent, "--claims", absent]}
+        cfg = tmp_path / "drivescore.cfg"
+        cfg.write_text(config + "\n")
+        assert run_cli("--config", cfg, *args, *inputs.get(args[0], inputs["fit"]),
+                       "--out-dir", tmp_path / "out") == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_ablation_group_exits_4(self, tmp_path, capsys):

@@ -1,8 +1,7 @@
 """Atomic file writes, number formatting and CSV reading."""
 import pytest
 
-from drivescore.fileio import (atomic_write_chunks, fmt_float, iter_csv_records,
-                               read_csv_records)
+from drivescore.fileio import atomic_write_chunks, fmt_float, iter_csv_records
 
 
 class Boom(Exception):
@@ -49,8 +48,7 @@ def test_fmt_float(x, want):
 def test_only_leading_hash_lines_are_comments(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# provenance\n# more\na,b\n#1,2\n\n3,4\n")
-    assert read_csv_records(path, ("b", "a"), lambda r: (r["a"], r["b"])) == \
-        [("#1", "2"), ("3", "4")]
+    assert list(iter_csv_records(path, ("b", "a"), tuple)) == [("2", "#1"), ("4", "3")]
 
 
 def test_cells_come_in_column_order(tmp_path):
@@ -68,5 +66,5 @@ def test_errors_name_file_and_data_row(tmp_path, text, match):
     path = tmp_path / "t.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=match) as info:
-        read_csv_records(path, ("a", "b"), lambda r: float(r["b"]))
+        list(iter_csv_records(path, ("a", "b"), lambda cells: float(cells[1])))
     assert str(info.value).startswith(f"{path}: ")

@@ -56,9 +56,8 @@ class TestClaimValidation:
             claim(loss, ins=ins)
 
     def test_non_finite_cell_fails_the_row(self):
-        row = {"device": "d1", "loss_size": "nan", "ins_sum": "1000", "culprit": "1"}
         with pytest.raises(ClaimValidationError, match="loss_size must be finite"):
-            claim_from_row(row)
+            claim_from_row(["d1", "nan", "1000", "1"])
 
 
 class TestBuildTargets:
@@ -83,16 +82,17 @@ class TestBuildTargets:
 
 def test_claim_row_round_trip():
     c = claim(1234.5, ins=98765.0, culprit=False, device="z9")
-    row = dict(zip(CLAIMS_CSV_COLUMNS, ("z9", "1234.5", "98765.0", "0")))
-    assert claim_from_row(row) == c
+    cells = [str(v) for v in (c.device_id, c.loss_size, c.ins_sum, int(c.culprit))]
+    assert CLAIMS_CSV_COLUMNS == ("device", "loss_size", "ins_sum", "culprit")
+    assert claim_from_row(cells) == c
 
 
 def test_claim_row_culprit_parsing():
-    base = {"device": "d", "loss_size": "1", "ins_sum": "10"}
-    assert claim_from_row({**base, "culprit": "true"}).culprit
-    assert not claim_from_row({**base, "culprit": "0"}).culprit
-    with pytest.raises(ClaimValidationError):
-        claim_from_row({**base, "culprit": "maybe"})
+    base = ["d", "1", "10"]
+    assert claim_from_row([*base, " True"]).culprit
+    assert not claim_from_row([*base, "0"]).culprit
+    with pytest.raises(ClaimValidationError, match="got 'maybe'"):
+        claim_from_row([*base, "maybe"])
 
 
 _RANK = {"none": 0, "weak": 1, "medium": 2, "strong": 3}

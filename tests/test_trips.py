@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivescore.features import FEATURE_NAMES, compute_feature_table
-from drivescore.ingest import parse_event_log
+from drivescore.fileio import iter_csv_records, render_csv
+from drivescore.ingest import POSITION, SPEED, parse_event_log, utc_datetime
 from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
                               HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS,
@@ -190,18 +191,24 @@ class TestAggregateHourly:
         assert [r.hour_start.hour for r in recs] == [10, 14]
 
 
-def test_trip_row_round_trip():
+def _through_reversed_csv(path, columns, row, from_row):
+    """Write one row under ``columns`` in reverse order, then read it back."""
+    path.write_text(render_csv(columns[::-1], [row[::-1]]))
+    return list(iter_csv_records(path, columns, from_row))
+
+
+def test_trip_row_round_trip(tmp_path):
     t = Trip("d9", T0, T0 + timedelta(seconds=1234), 17.25, 1234.0, 50.32)
-    row = dict(zip(TRIP_CSV_COLUMNS, (str(v) for v in trip_to_row(t))))
-    assert trip_from_row(row) == t
+    assert _through_reversed_csv(tmp_path / "trips.csv", TRIP_CSV_COLUMNS, trip_to_row(t),
+                                 trip_from_row) == [t]
 
 
-def test_hourly_row_round_trip():
+def test_hourly_row_round_trip(tmp_path):
     rec = HourlyRecord("d9", T0, 12.5, 48.0, 92.0,
                        1, 0, 0, 2, 0, 0, 0, 1, 0,
                        1.5, 8.0, 3.0, 0.0, 0.0)
-    row = dict(zip(HOURLY_CSV_COLUMNS, (str(v) for v in hourly_to_row(rec))))
-    assert hourly_from_row(row) == rec
+    assert _through_reversed_csv(tmp_path / "hourly.csv", HOURLY_CSV_COLUMNS,
+                                 hourly_to_row(rec), hourly_from_row) == [rec]
 
 
 @settings(deadline=None, max_examples=30)
@@ -242,16 +249,23 @@ def tie_logs(draw):
     return draw(st.permutations(objs))
 
 
+def _fixes(log):
+    """(UTC time, lat, lon) of each movement event with coordinates, in order."""
+    return [(utc_datetime(t), lat, lon)
+            for t, kind, lat, lon in zip(log.ts, log.kind, log.lat, log.lon)
+            if kind in (POSITION, SPEED) and not math.isnan(lat)]
+
+
 def _first_trip_legs(log, trips):
     """Reference for the one-leg-one-trip rule: trip index -> the km of its
     legs, each leg of consecutive fixes going to the first trip whose span
     holds both its fixes."""
-    fixes = [e for e in log.events if e.kind in ("position", "speed") and e.has_coords]
+    fixes = _fixes(log)
     legs = {k: [] for k in range(len(trips))}
-    for a, b in zip(fixes, fixes[1:]):
+    for (t0, lat0, lon0), (t1, lat1, lon1) in zip(fixes, fixes[1:]):
         for k, trip in enumerate(trips):
-            if trip.start <= a.timestamp and b.timestamp <= trip.end:
-                legs[k].append(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
+            if trip.start <= t0 and t1 <= trip.end:
+                legs[k].append(haversine_km(lat0, lon0, lat1, lon1))
                 break
     return legs
 
@@ -396,19 +410,19 @@ def test_hours_book_each_real_minute_once(case):
     recs = aggregate_hourly(log, trips, tz)
 
     legs = [km for k in _first_trip_legs(log, trips).values() for km in k]
-    fixes = [e for e in log.events if e.kind == "position"]
-    held = sum(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
-               for a, b in zip(fixes, fixes[1:])
-               if any(t.start <= a.timestamp and b.timestamp <= t.end for t in trips))
+    fixes = _fixes(log)
+    held = sum(haversine_km(lat0, lon0, lat1, lon1)
+               for (a, lat0, lon0), (b, lat1, lon1) in zip(fixes, fixes[1:])
+               if any(t.start <= a and b <= t.end for t in trips))
     assert sum(t.mileage_km for t in trips) == pytest.approx(held, rel=1e-9, abs=1e-12)
     assert sum(legs) == pytest.approx(held, rel=1e-9, abs=1e-12)
 
     booked, minutes = {}, {}  # hour key -> km, and -> the minutes booked to it
-    for a, b in zip(fixes, fixes[1:]):
-        if not any(t.start <= a.timestamp and b.timestamp <= t.end for t in trips):
+    for (a, lat0, lon0), (b, lat1, lon1) in zip(fixes, fixes[1:]):
+        if not any(t.start <= a and b <= t.end for t in trips):
             continue
-        km = haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
-        t0, t1 = int(a.timestamp.timestamp()), int(b.timestamp.timestamp())
+        km = haversine_km(lat0, lon0, lat1, lon1)
+        t0, t1 = int(a.timestamp()), int(b.timestamp())
         if km == 0.0:
             continue
         for m in range(t0, max(t1, t0 + 1), 60):
@@ -435,7 +449,7 @@ def _best_seconds_per_event(weeks):
         t0 = time.perf_counter()
         aggregate_hourly(fresh, segment_trips(fresh))
         best = min(best, time.perf_counter() - t0)
-    return best / len(log.events)
+    return best / len(log.ts)
 
 
 def test_long_history_costs_no_more_per_event():
