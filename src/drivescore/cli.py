@@ -28,10 +28,10 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 from . import __version__
-from .fileio import (WINDOW_KINDS, atomic_write_chunks, atomic_write_text,
-                     iter_csv_records, provenance_line, render_csv, sha256_digest)
-from .ingest import (EventValidationError, iter_log_lines, parse_event_file,
-                     validate_log)
+from .fileio import (WINDOW_KINDS, atomic_files, atomic_write_chunks, atomic_write_text,
+                     csv_row_writer, iter_csv_records, provenance_line, render_csv, sha256_digest)
+from .ingest import (DeviceOrderError, EventValidationError, iter_log_lines,
+                     parse_event_file, validate_log)
 from .labeling import (CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
                        ClaimValidationError, EstimationError, build_targets,
                        claim_from_row, classify_severity, compute_premium)
@@ -152,29 +152,31 @@ def _read_claims(path: Path):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_parse(ns) -> int:
+def cmd_parse(ns, grouped: bool = True) -> int:
     events_path = _require(ns.events, "events file")
-    result = parse_event_file(events_path)
-    logs = sorted(result.logs, key=lambda l: l.device_id)
-    issues = {log.device_id: validate_log(log) for log in logs}
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     digest = sha256_digest(events_path)
-    atomic_write_chunks(out_dir / "parsed.jsonl", iter_log_lines(logs))
+    issues = {}
+    with atomic_files(out_dir / "parsed.jsonl") as (parsed,):
+        def each(log):
+            issues[log.device_id] = validate_log(log)
+            parsed.writelines(iter_log_lines([log]))
+        result = parse_event_file(events_path, each, grouped=grouped)
     _write_json(out_dir / "parse_report.json", {
         "n_lines": result.n_lines,
         "n_events": result.n_events,
-        "n_devices": len(result.logs),
+        "n_devices": len(issues),
         "skipped": [{"line": s.line_no, "reason": s.reason} for s in result.skipped],
         "validation": {dev: [{"code": i.code, "message": i.message} for i in found]
                        for dev, found in issues.items() if found},
         "provenance": _provenance_obj(None, {"events": digest}),
     })
     print(f"parsed {result.n_events} events from {result.n_lines} lines "
-          f"({len(result.skipped)} skipped, {len(result.logs)} devices)")
+          f"({len(result.skipped)} skipped, {len(issues)} devices)")
     return 0
 
 
-def cmd_aggregate(ns) -> int:
+def cmd_aggregate(ns, grouped: bool = True) -> int:
     from .trips import (DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS,
                         TRIP_CSV_COLUMNS, aggregate_hourly, hourly_to_row,
                         segment_trips, trip_to_row)
@@ -184,25 +186,27 @@ def cmd_aggregate(ns) -> int:
     gap = _opt(ns, "gap_threshold_s", float, DEFAULT_GAP_THRESHOLD_S)
     if not gap > 0:  # inf is valid: it never splits
         raise ConfigError(f"gap_threshold_s must be positive, got {gap}")
-    result = parse_event_file(events_path)
-    for s in result.skipped:
-        print(f"line {s.line_no}: {s.reason}", file=sys.stderr)
-    hourly_rows, trip_rows = [], []
-    for log in sorted(result.logs, key=lambda l: l.device_id):
-        trips = segment_trips(log, gap)
-        if not trips:
-            print(f"device {log.device_id}: no trip kept", file=sys.stderr)
-        for t in trips:
-            trip_rows.append(trip_to_row(t))
-        for rec in aggregate_hourly(log, trips, tz):
-            hourly_rows.append(hourly_to_row(rec))
     out_dir = Path(_opt(ns, "out_dir", str, "."))
     prov = provenance_line(None, {"events": sha256_digest(events_path)})
-    atomic_write_text(out_dir / "hourly.csv",
-                      render_csv(HOURLY_CSV_COLUMNS, hourly_rows, prov))
-    atomic_write_text(out_dir / "trips.csv",
-                      render_csv(TRIP_CSV_COLUMNS, trip_rows, prov))
-    print(f"wrote {len(hourly_rows)} hourly records and {len(trip_rows)} trips "
+    tripless, n_hourly, n_trips = [], 0, 0
+    with atomic_files(out_dir / "hourly.csv", out_dir / "trips.csv") as (hourly_f, trips_f):
+        write_hourly = csv_row_writer(hourly_f, HOURLY_CSV_COLUMNS, prov)
+        write_trips = csv_row_writer(trips_f, TRIP_CSV_COLUMNS, prov)
+        def each(log):
+            nonlocal n_hourly, n_trips
+            trips = segment_trips(log, gap)
+            hourly = aggregate_hourly(log, trips, tz)
+            write_hourly(map(hourly_to_row, hourly))
+            write_trips(map(trip_to_row, trips))
+            if not trips:
+                tripless.append(log.device_id)
+            n_hourly, n_trips = n_hourly + len(hourly), n_trips + len(trips)
+        result = parse_event_file(events_path, each, grouped=grouped)
+    for s in result.skipped:
+        print(f"line {s.line_no}: {s.reason}", file=sys.stderr)
+    for device in tripless:
+        print(f"device {device}: no trip kept", file=sys.stderr)
+    print(f"wrote {n_hourly} hourly records and {n_trips} trips "
           f"({len(result.skipped)} lines skipped)")
     return 0
 
@@ -581,7 +585,10 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     try:
         ns._config = load_config(ns.config) if ns.config else {}
-        return ns.func(ns)
+        try:
+            return ns.func(ns)
+        except DeviceOrderError:  # ids not grouped: parse or aggregate again, holding them all
+            return ns.func(ns, grouped=False)
     except InputMissingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -229,7 +229,10 @@ def compute_feature_table(hourly: Iterable[HourlyRecord], trips: Iterable[Trip],
     def monday(ts: datetime) -> date | None:
         if window_kind == "lifetime":
             return None
-        day = ts.astimezone(tz).date()
+        try:
+            day = ts.astimezone(tz).date()
+        except OverflowError:
+            raise ValueError(f"local time in {tz} of {ts} is outside years 1-9999") from None
         return day - timedelta(days=day.weekday())
 
     windows: dict[tuple[str, date | None], tuple[list, list]] = {}

@@ -5,10 +5,10 @@ import csv
 import hashlib
 import io
 import os
-import tempfile
+from contextlib import contextmanager, suppress
 from itertools import dropwhile
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from . import __version__
 
@@ -45,21 +45,37 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks in order, as they come, via temp file + rename.
+    """Write the text chunks in order, as they come, through ``atomic_files``."""
+    with atomic_files(path) as (f,):
+        f.writelines(chunks)
 
-    Readers never observe a partial file: if ``chunks`` raises midway, the
-    temp file is removed and ``path`` keeps whatever it held before.
+
+@contextmanager
+def atomic_files(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """Text files, open for writing while the block runs, that replace ``paths``.
+
+    Each is a new temp file beside its path, made as ``open`` makes files
+    (mode 0o666 less the umask); all are renamed into place only once the
+    block ends without error.  If it raises, every temp file is removed and
+    each path keeps whatever it held before.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    temps: list[tuple[Path, Path, TextIO]] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.writelines(chunks)
-        os.replace(tmp, path)
+        for path in map(Path, paths):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+            temps.append((tmp, path, open(tmp, "x", encoding="utf-8", newline="")))
+        yield [f for _, _, f in temps]
+        for _, _, f in temps:
+            f.close()
+        for tmp, path, _ in temps:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _, f in temps:
+            with suppress(OSError):  # a failed flush: the file is discarded anyway
+                f.close()
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -73,15 +89,21 @@ def fmt_float(x: float) -> str:
     return repr(x)
 
 
+def csv_row_writer(f: TextIO, header: Sequence[str], provenance: str | None = None
+                   ) -> Callable[[Iterable[Sequence[object]]], None]:
+    """Write the provenance line and header to ``f``; return a function that
+    writes rows after them, floats in ``fmt_float`` form."""
+    f.write(f"{provenance}\n" if provenance else "")
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(header)
+    return lambda rows: w.writerows([fmt_float(v) if isinstance(v, float) else v for v in row]
+                                    for row in rows)
+
+
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]],
                provenance: str | None = None) -> str:
     buf = io.StringIO()
-    if provenance:
-        buf.write(provenance + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
+    csv_row_writer(buf, header, provenance)(rows)
     return buf.getvalue()
 
 

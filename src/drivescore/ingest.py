@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice
 from operator import eq, le
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 # Event kinds and acceleration axes by their uint8 codes in a DeviceLog.
 KIND_NAMES = ("ignition_on", "ignition_off", "position", "speed", "acceleration")
@@ -160,13 +160,13 @@ class SkippedLine:
 
 @dataclass
 class ParseResult:
-    logs: list[DeviceLog]
+    logs: list[DeviceLog]  # empty when each log was handed on as it was read
     skipped: list[SkippedLine]
-    n_lines: int
+    n_events: int
 
     @property
-    def n_events(self) -> int:
-        return sum(len(log.ts) for log in self.logs)
+    def n_lines(self) -> int:  # each line is an event or a skipped line
+        return self.n_events + len(self.skipped)
 
 
 @dataclass(frozen=True)
@@ -285,19 +285,28 @@ def _loads(line: str):
     return json.loads(line)  # raises json's own error for the line, or decodes it
 
 
-def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes]) -> ParseResult:
-    """Parse a JSONL event stream into one DeviceLog per device.
+class DeviceOrderError(Exception):
+    """A device id arrived that is not above every earlier one, in grouped reading."""
 
-    Malformed lines are skipped with a (line number, reason) diagnostic;
-    duplicate events (identical device, timestamp, kind and payload) are
-    dropped the same way, keeping the first line, so skipped + emitted always
-    equals the line count.  Skipped lines are reported in line order.
-    Events are sorted by timestamp within each device (stable, preserving
-    input order between equal timestamps).
+
+def read_device_logs(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes],
+                     skipped: list[SkippedLine], grouped: bool = False) -> Iterator[DeviceLog]:
+    """One pass over a JSONL event stream, yielding one DeviceLog per device.
+
+    Malformed lines, and duplicate events (same device, timestamp, kind and
+    payload) after the first, go to ``skipped`` with line number and reason,
+    in line order once the iteration ends.  Each log is stably sorted by time.
+    With ``grouped``, device ids must arrive grouped and ascending: a log is
+    yielded when the next device's first line arrives, so one device is held
+    at a time, and an id not above every earlier one raises DeviceOrderError.
+    Otherwise every device is held, and logs come in order of first appearance.
     """
+    def build(builder: DeviceLogBuilder) -> DeviceLog:
+        log, dropped = builder.build()
+        skipped.extend(SkippedLine(n, "duplicate event") for n in dropped)
+        return log
+
     builders: dict[str, DeviceLogBuilder] = {}
-    skipped: list[SkippedLine] = []
-    n_lines = 0
     for n_lines, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
@@ -323,23 +332,38 @@ def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes
             continue
         b = builders.get(device)
         if b is None:
+            if grouped and builders:
+                (current,) = builders
+                if device < current:
+                    raise DeviceOrderError(f"line {n_lines}: device {device!r} after {current!r}")
+                yield build(builders.pop(current))
             b = builders[device] = DeviceLogBuilder(device)
         b.records += _RECORD.pack(ts, lat, lon, speed, accel, n_lines, kind, axis)  # b.append
-
-    logs = []
-    n_skipped = len(skipped)
-    for device in list(builders):  # each device's records go once its log is built
-        log, dropped = builders.pop(device).build()
-        logs.append(log)
-        skipped.extend(SkippedLine(n, "duplicate event") for n in dropped)
-    if len(skipped) > n_skipped:
-        skipped.sort(key=lambda s: s.line_no)
-    return ParseResult(logs=logs, skipped=skipped, n_lines=n_lines)
+    b = None  # a builder's records go once its log is built
+    for device in list(builders):
+        yield build(builders.pop(device))
+    skipped.sort(key=lambda s: s.line_no)
 
 
-def parse_event_file(path) -> ParseResult:
+def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes]) -> ParseResult:
+    """Every device's log at once, as ``read_device_logs`` reads them."""
+    skipped: list[SkippedLine] = []
+    logs = list(read_device_logs(stream, skipped))
+    return ParseResult(logs, skipped, sum(len(log.ts) for log in logs))
+
+
+def parse_event_file(path, each: Callable[[DeviceLog], None], grouped: bool = True) -> ParseResult:
+    """Hand the event file's logs to ``each`` in device-id order: one at a time, read
+    as ``read_device_logs`` reads ``grouped``, or all read first and sorted."""
+    skipped: list[SkippedLine] = []
+    n_events = 0
     with open(path, "rb") as f:
-        return parse_event_log(f)
+        logs = read_device_logs(f, skipped, grouped)
+        for log in logs if grouped else sorted(logs, key=lambda log: log.device_id):
+            n_events += len(log.ts)
+            each(log)
+            del log  # not held while the next device is read
+    return ParseResult([], skipped, n_events)
 
 
 def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:

@@ -102,11 +102,10 @@ class HourlyRecord(NamedTuple):
 _last_legs: tuple = (None, None)  # the log measured last, and its legs
 
 
-def _legs(log: DeviceLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _legs(log: DeviceLog, keep: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t0, t1, km) of each GPS leg, the path between consecutive fixes (movement
-    events with coordinates).  ``segment_trips`` and then ``aggregate_hourly``
-    ask for the same log, so the last log's legs are kept: each is measured once.
-    """
+    events with coordinates).  ``segment_trips`` and then ``aggregate_hourly`` ask
+    for the same log, so the legs are kept until asked not to: each is measured once."""
     global _last_legs
     last, legs = _last_legs
     if last is not log:
@@ -115,7 +114,7 @@ def _legs(log: DeviceLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fix = ((kind == POSITION) | (kind == SPEED)) & ~np.isnan(lat) & ~np.isnan(lon)
         t, lat, lon = np.frombuffer(log.ts, np.int64)[fix], lat[fix], lon[fix]
         legs = t[:-1], t[1:], haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
-        _last_legs = log, legs
+    _last_legs = (log, legs) if keep else (None, None)
     return legs
 
 
@@ -199,7 +198,11 @@ class _LocalHours:
 
     def __init__(self, tz: tzinfo, hours: np.ndarray):
         def offset(t: int) -> int:
-            return datetime.fromtimestamp(t, tz).utcoffset() // timedelta(seconds=1)
+            try:
+                return datetime.fromtimestamp(t, tz).utcoffset() // timedelta(seconds=1)
+            except OverflowError:
+                raise ValueError(f"local time in {tz} of {utc_datetime(t)} is outside "
+                                 "years 1-9999") from None
 
         starts = hours * 3600
         at = {t: offset(t) for t in {*starts.tolist(), *(starts + 3600).tolist()}}
@@ -269,7 +272,7 @@ def aggregate_hourly(log: DeviceLog, trips: Sequence[Trip],
     ends = np.array([epoch_seconds(t.end) for t in trips], np.int64)
     if np.any(starts[1:] < ends[:-1]):
         raise ValueError("trips must be in time order and overlap at most in one second")
-    legs = _legs(log)
+    legs = _legs(log, keep=False)
     mine = (_leg_trips(legs, starts, ends) >= 0) & (legs[2] != 0.0)
     t0, t1, km = (x[mine] for x in legs)
     dt = t1 - t0

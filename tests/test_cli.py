@@ -574,6 +574,32 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    YEAR_1 = ('{"device":"old","ts":"0001-01-01T00:00:00Z","kind":"position",'
+              '"lat":0.0,"lon":0.0}\n'
+              '{"device":"old","ts":"0001-01-01T00:05:00Z","kind":"position",'
+              '"lat":0.0,"lon":0.05}\n')
+    BEFORE_YEAR_1 = ("error: local time in America/New_York of 0001-01-01 00:00:00+00:00 "
+                     "is outside years 1-9999\n")
+
+    def test_aggregate_hour_before_year_1_exits_1(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text(self.YEAR_1)
+        assert run_cli("aggregate", "--events", events, "--tz", "America/New_York",
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == self.BEFORE_YEAR_1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_weekly_features_before_year_1_exit_1(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text(self.YEAR_1)
+        assert run_cli("aggregate", "--events", events, "--out-dir", tmp_path) == 0
+        capsys.readouterr()
+        assert run_cli("features", "--hourly", tmp_path / "hourly.csv",
+                       "--trips", tmp_path / "trips.csv", "--window", "weekly",
+                       "--tz", "America/New_York", "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == self.BEFORE_YEAR_1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_ablation_group_exits_4(self, tmp_path, capsys):
         # checked before any input is read: the absent files are never looked at
         assert run_cli("ablate", "--features", tmp_path / "absent.csv",

@@ -1,7 +1,10 @@
 """Atomic file writes, number formatting and CSV reading."""
+import os
+import stat
+
 import pytest
 
-from drivescore.fileio import atomic_write_chunks, fmt_float, iter_csv_records
+from drivescore.fileio import atomic_files, atomic_write_chunks, fmt_float, iter_csv_records
 
 
 class Boom(Exception):
@@ -34,6 +37,37 @@ def test_failing_chunks_leave_an_existing_file_unchanged(tmp_path):
         atomic_write_chunks(target, _chunks_then_raise())
     assert target.read_bytes() == b"old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_files_written_together_replace_their_paths_together(tmp_path):
+    hourly, trips = tmp_path / "hourly.csv", tmp_path / "trips.csv"
+    trips.write_bytes(b"old trips\n")
+    with pytest.raises(Boom):
+        with atomic_files(hourly, trips) as (h, t):
+            h.write("hour 1\n")
+            t.write("trip 1\n")
+            raise Boom
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trips.csv"]
+    assert trips.read_bytes() == b"old trips\n"
+    with atomic_files(hourly, trips) as (h, t):
+        h.write("hour 1\n")
+        t.write("trip 1\n")
+        assert not hourly.exists()
+    assert (hourly.read_bytes(), trips.read_bytes()) == (b"hour 1\n", b"trip 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hourly.csv", "trips.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_files_get_the_mode_open_gives_them(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_chunks(tmp_path / "one.jsonl", ["a\n"])
+        with atomic_files(tmp_path / "two.csv", tmp_path / "three.csv"):
+            pass
+    finally:
+        os.umask(old)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == \
+        {"one.jsonl": mode, "two.csv": mode, "three.csv": mode}
 
 
 @pytest.mark.parametrize("x,want", [
