@@ -43,6 +43,9 @@ SYNTH_DIGESTS = {
     "truth.json": "75510a0441fbda5bc04ffe27a311e77d6928b8ace0d22a2bdc767117d2e5194d",
 }
 
+# synth --n 5 --weeks 2 --seed 3 --logs: 11,515 events from five devices
+EVENTS_DIGEST = "7a3703eff63bc04a8930d1a22003c6afffe38ae71ffe4811554b54c3bf7d4ce1"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -62,3 +65,9 @@ def test_synth_artifact_bytes(tmp_path):
     assert run_cli("synth", "--n", 300, "--weeks", 8, "--seed", 4,
                    "--out-dir", tmp_path) == 0
     assert {name: _sha256(tmp_path / name) for name in SYNTH_DIGESTS} == SYNTH_DIGESTS
+
+
+def test_synth_event_log_bytes(tmp_path):
+    assert run_cli("synth", "--n", 5, "--weeks", 2, "--seed", 3, "--logs",
+                   "--out-dir", tmp_path) == 0
+    assert _sha256(tmp_path / "events.jsonl") == EVENTS_DIGEST
