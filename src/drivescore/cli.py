@@ -8,7 +8,8 @@ reproduce identical bytes.
 
 Exit codes: 0 success, 2 missing input file, 3 estimation failure
 (separation, collinearity, single-class target), 4 malformed configuration,
-1 any other data error.
+1 any other data error or an unusable path (a directory where a file goes,
+or the reverse).
 
 Every command runs in a process of its own, so start-up counts: only the
 numpy-free layers (ingest, fileio, labeling) are imported here, and each
@@ -28,7 +29,7 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 from . import __version__
-from .fileio import (WINDOW_KINDS, atomic_files, atomic_write_chunks, atomic_write_text,
+from .fileio import (WINDOW_KINDS, atomic_files, atomic_write_text,
                      csv_row_writer, iter_csv_records, provenance_line, render_csv, sha256_digest)
 from .ingest import (DeviceOrderError, EventValidationError, iter_log_lines,
                      parse_event_file, validate_log)
@@ -154,15 +155,14 @@ def _read_claims(path: Path):
 
 def cmd_parse(ns, grouped: bool = True) -> int:
     events_path = _require(ns.events, "events file")
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
     digest = sha256_digest(events_path)
     issues = {}
-    with atomic_files(out_dir / "parsed.jsonl") as (parsed,):
+    with atomic_files(ns.out_dir / "parsed.jsonl") as (parsed,):
         def each(log):
             issues[log.device_id] = validate_log(log)
             parsed.writelines(iter_log_lines([log]))
         result = parse_event_file(events_path, each, grouped=grouped)
-    _write_json(out_dir / "parse_report.json", {
+    _write_json(ns.out_dir / "parse_report.json", {
         "n_lines": result.n_lines,
         "n_events": result.n_events,
         "n_devices": len(issues),
@@ -186,10 +186,9 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
     gap = _opt(ns, "gap_threshold_s", float, DEFAULT_GAP_THRESHOLD_S)
     if not gap > 0:  # inf is valid: it never splits
         raise ConfigError(f"gap_threshold_s must be positive, got {gap}")
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
     prov = provenance_line(None, {"events": sha256_digest(events_path)})
     tripless, n_hourly, n_trips = [], 0, 0
-    with atomic_files(out_dir / "hourly.csv", out_dir / "trips.csv") as (hourly_f, trips_f):
+    with atomic_files(ns.out_dir / "hourly.csv", ns.out_dir / "trips.csv") as (hourly_f, trips_f):
         write_hourly = csv_row_writer(hourly_f, HOURLY_CSV_COLUMNS, prov)
         write_trips = csv_row_writer(trips_f, TRIP_CSV_COLUMNS, prov)
         def each(log):
@@ -229,8 +228,7 @@ def cmd_features(ns) -> int:
         iter_csv_records(trips_path, TRIP_CSV_COLUMNS, trip_from_row), window, calendar, tz)
     prov = provenance_line(None, {"hourly": sha256_digest(hourly_path),
                                   "trips": sha256_digest(trips_path)})
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
-    atomic_write_text(out_dir / "features.csv",
+    atomic_write_text(ns.out_dir / "features.csv",
                       render_csv(FEATURE_CSV_COLUMNS, feature_rows(table), prov))
     print(f"wrote {len(table)} feature vectors ({window} windows)")
     return 0
@@ -241,8 +239,7 @@ def cmd_label(ns) -> int:
     claims = _read_claims(claims_path)
     rows = [[c.device_id, classify_severity(c)] for c in claims]
     prov = provenance_line(None, {"claims": sha256_digest(claims_path)})
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
-    atomic_write_text(out_dir / "labels.csv",
+    atomic_write_text(ns.out_dir / "labels.csv",
                       render_csv(LABELS_CSV_COLUMNS, rows, prov))
     print(f"labeled {len(rows)} claims")
     return 0
@@ -299,13 +296,11 @@ def _fit_targets(ns, write_models: bool):
                     seed=_opt(ns, "seed", int, 0),
                     stratify=_opt(ns, "stratify", bool, False))
     table, claims, inputs = _read_model_inputs(ns)
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
     reports = []
     for target in TARGETS:
         design, dropped = _build_design(table, claims, target)
         model = backward_eliminate(design, alpha, target=target)
-        selected = design.drop([n for n in design.feature_names
-                                if n not in model.feature_names])
+        selected = design.drop([n for n in design.feature_names if n not in model.columns])
         report, _ = evaluate_model(selected, target, spec)
         reports.append(report)
         if write_models:
@@ -313,9 +308,9 @@ def _fit_targets(ns, write_models: bool):
             payload["alpha"] = alpha
             payload["dropped_columns"] = dropped
             payload["provenance"] = _provenance_obj(spec.seed, inputs)
-            _write_json(out_dir / f"model_{target}.json", payload)
+            _write_json(ns.out_dir / f"model_{target}.json", payload)
         del design, selected, model  # so the next target's design is built alone
-    atomic_write_text(out_dir / "eval_report.csv",
+    atomic_write_text(ns.out_dir / "eval_report.csv",
                       _eval_report_csv(reports, provenance_line(spec.seed, inputs)))
     return reports
 
@@ -371,8 +366,7 @@ def cmd_score(ns) -> int:
             zip(table.device_ids, table.window_kinds, table.window_starts, probs.tolist())]
     prov = provenance_line(None, {"features": sha256_digest(features_path),
                                   "model": model_digest})
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
-    atomic_write_text(out_dir / "scores.csv",
+    atomic_write_text(ns.out_dir / "scores.csv",
                       render_csv(("device", "window_kind", "window_start",
                                   "probability"), rows, prov))
     print(f"scored {len(rows)} feature vectors with model {model.target!r}")
@@ -395,8 +389,7 @@ def cmd_premium(ns) -> int:
                                    lambda cells: (cells[0], float(cells[1]))))
     out_rows = [[dev, p, compute_premium(p, loss, admin, margin)] for dev, p in scores]
     prov = provenance_line(None, {"scores": sha256_digest(scores_path)})
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
-    atomic_write_text(out_dir / "premiums.csv",
+    atomic_write_text(ns.out_dir / "premiums.csv",
                       render_csv(("device", "probability", "premium"), out_rows, prov))
     print(f"computed {len(out_rows)} premiums "
           f"(loss={loss}, admin={admin}, margin={margin})")
@@ -410,6 +403,8 @@ def cmd_ablate(ns) -> int:
     group_spec = _opt(ns, "group", str, "accel")
     names = [g.strip() for g in group_spec.split(",") if g.strip()]
     if group_spec not in FEATURE_GROUPS:
+        if not names:
+            raise ConfigError(f"group names no feature: {group_spec!r}")
         unknown = [n for n in names if n not in MODEL_FEATURE_NAMES]
         if unknown:
             raise ConfigError(f"group must be one of {sorted(FEATURE_GROUPS)} or model "
@@ -426,8 +421,7 @@ def cmd_ablate(ns) -> int:
     prov = provenance_line(None, inputs)
     rows = [[r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
             for r in results]
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
-    atomic_write_text(out_dir / "ablation.csv",
+    atomic_write_text(ns.out_dir / "ablation.csv",
                       render_csv(("target", "group", "r2_with", "r2_without",
                                   "difference"), rows, prov))
     for r in results:
@@ -448,11 +442,10 @@ def cmd_report(ns) -> int:
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     prov = provenance_line(None, inputs)
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
     stats = ("mean_acc", "std_acc", "mean_noacc", "std_noacc")
     rows = [[r["feature"]] + [float("nan") if r[k] is None else r[k] for k in stats]
             for r in stat_rows]
-    atomic_write_text(out_dir / "descriptive.csv",
+    atomic_write_text(ns.out_dir / "descriptive.csv",
                       render_csv(("feature", "mean_accidents", "std_accidents",
                                   "mean_no_accidents", "std_no_accidents"),
                                  rows, prov))
@@ -461,7 +454,7 @@ def cmd_report(ns) -> int:
         print(f"note: {note}", file=sys.stderr)
     corr_rows = [[names[i]] + [float(corr[i, j]) for j in range(len(names))]
                  for i in range(len(names))]
-    atomic_write_text(out_dir / "correlation.csv",
+    atomic_write_text(ns.out_dir / "correlation.csv",
                       render_csv(["feature"] + names, corr_rows, prov))
     print(f"wrote descriptive.csv and correlation.csv over {len(table.device_ids)} rows")
     return 0
@@ -480,20 +473,19 @@ def cmd_synth(ns) -> int:
     if ns.logs_limit is not None and ns.logs_limit < 0:
         raise ConfigError(f"logs_limit must be non-negative, got {ns.logs_limit}")
     result = generate_population(config)
-    out_dir = Path(_opt(ns, "out_dir", str, "."))
     prov = provenance_line(seed)
-    atomic_write_text(out_dir / "features.csv",
+    atomic_write_text(ns.out_dir / "features.csv",
                       render_csv(FEATURE_CSV_COLUMNS, feature_rows(result.features), prov))
     claim_rows = [[c.device_id, c.loss_size, c.ins_sum, "1" if c.culprit else "0"]
                   for c in result.claims]
-    atomic_write_text(out_dir / "claims.csv",
+    atomic_write_text(ns.out_dir / "claims.csv",
                       render_csv(CLAIMS_CSV_COLUMNS, claim_rows, prov))
     truth = result.truth()
     truth["provenance"] = _provenance_obj(seed, {})
-    _write_json(out_dir / "truth.json", truth)
+    _write_json(ns.out_dir / "truth.json", truth)
     if ns.logs:
-        atomic_write_chunks(out_dir / "events.jsonl",
-                            iter_log_lines(iter_event_logs(result, ns.logs_limit)))
+        with atomic_files(ns.out_dir / "events.jsonl") as (events,):
+            events.writelines(iter_log_lines(iter_event_logs(result, ns.logs_limit)))
     pos = {t: sum(v) for t, v in result.outcomes.items()}
     print(f"generated {n} drivers, {len(result.claims)} claims "
           f"(any={pos['any']}, weak={pos['weak']}, medium={pos['medium']}, "
@@ -585,6 +577,7 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     try:
         ns._config = load_config(ns.config) if ns.config else {}
+        ns.out_dir = Path(_opt(ns, "out_dir", str, "."))
         try:
             return ns.func(ns)
         except DeviceOrderError:  # ids not grouped: parse or aggregate again, holding them all
@@ -598,7 +591,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (EventValidationError, ClaimValidationError, ValueError, KeyError) as exc:
+    except (EventValidationError, ClaimValidationError, ValueError, KeyError,
+            OSError) as exc:  # OSError: a path that is there but cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -116,7 +116,7 @@ def split_indices(n: int, spec: SplitSpec,
 
 
 def _scores(model, design: DesignMatrix) -> np.ndarray:
-    eta = design.X @ model.coef_vector
+    eta = design.X @ np.asarray(model.coef)
     return _sigmoid(eta)
 
 

@@ -41,13 +41,8 @@ def provenance_line(seed: int | None = None, inputs: dict[str, str] | None = Non
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via temp file + rename so readers never observe a partial file."""
-    atomic_write_chunks(path, (text,))
-
-
-def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks in order, as they come, through ``atomic_files``."""
     with atomic_files(path) as (f,):
-        f.writelines(chunks)
+        f.write(text)
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from . import __version__
 from .labeling import EstimationError
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50
+MAX_ITER = 50
 SEPARATION_BETA_BOUND = 30.0  # on |beta_j| * column scale
 
 INTERCEPT_NAME = "const"
@@ -127,21 +127,8 @@ class DesignMatrix:
         return DesignMatrix(self.feature_names, self.X[idx], self.y[idx])
 
 
-class LinearScore:
-    """Scoring surface of fitted and published models: ``columns``
-    (intercept first) and ``coef`` give the linear predictor."""
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.columns[1:]
-
-    @property
-    def coef_vector(self) -> np.ndarray:
-        return np.asarray(self.coef, dtype=float)
-
-
 @dataclass(frozen=True)
-class FittedModel(LinearScore):
+class FittedModel:
     """Maximum-likelihood logistic fit with Wald inference."""
 
     target: str
@@ -185,9 +172,8 @@ def _dependent_columns(X: np.ndarray, columns: Sequence[str]) -> list[str]:
 
 
 def fit_logistic(design: DesignMatrix, target: str = "",
-                 tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> FittedModel:
-    """Fit by Newton/IRLS with step-halving.
+                 tol: float = DEFAULT_TOL) -> FittedModel:
+    """Fit by Newton/IRLS with step-halving, at most ``MAX_ITER`` steps.
 
     Converges when every score component |g_j| falls below tol times the
     column scale max(1, max|x_j|); the check runs before each step, so a
@@ -212,7 +198,7 @@ def fit_logistic(design: DesignMatrix, target: str = "",
     converged = False
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         p = _sigmoid(eta)
         g = X.T @ (y - p)
         if np.max(np.abs(g) / scale) <= tol:
@@ -248,7 +234,7 @@ def fit_logistic(design: DesignMatrix, target: str = "",
         p = _sigmoid(eta)
         g = X.T @ (y - p)
         converged = np.max(np.abs(g) / scale) <= tol
-        n_iter = max_iter
+        n_iter = MAX_ITER
 
     if not converged:
         grew = len(ll_path) >= 4 and all(b > a for a, b in zip(ll_path[-4:], ll_path[-3:]))
@@ -301,7 +287,8 @@ def wald_pvalue(coef: float, se: float) -> float:
 def predict_proba(model, features: Mapping[str, float | np.ndarray]):
     """Accident probability from a mapping of feature name to value or column.
 
-    Works for any ``LinearScore`` model.  Every model feature must be
+    Works for any model whose ``columns`` (intercept first) and ``coef``
+    give the linear predictor.  Every model feature must be
     present and finite; nothing is imputed.  Scalar values give one float;
     equal-length columns give an array with one probability per row, from one
     matrix-vector product (an intercept-only model gives a float either way).
@@ -319,7 +306,7 @@ def predict_proba(model, features: Mapping[str, float | np.ndarray]):
     X = np.ones(shape + (len(names) + 1,))
     for j, col in enumerate(cols, start=1):
         X[..., j] = col
-    p = np.clip(_sigmoid(np.atleast_1d(X @ model.coef_vector)),
+    p = np.clip(_sigmoid(np.atleast_1d(X @ np.asarray(model.coef))),
                 math.ulp(0.0), 1.0 - 2.0 ** -53)
     return float(p[0]) if shape == () else p
 
@@ -332,8 +319,7 @@ def check_alpha(alpha: float) -> float:
 
 
 def backward_eliminate(design: DesignMatrix, alpha: float = 0.05,
-                       target: str = "", tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER) -> FittedModel:
+                       target: str = "") -> FittedModel:
     """Drop the worst non-intercept coefficient until all p-values pass alpha.
 
     One column per round: the highest p-value above alpha, ties and NaN
@@ -343,7 +329,7 @@ def backward_eliminate(design: DesignMatrix, alpha: float = 0.05,
     check_alpha(alpha)
     current = design
     while True:
-        model = fit_logistic(current, target=target, tol=tol, max_iter=max_iter)
+        model = fit_logistic(current, target=target)
         if not current.feature_names:
             return model
         worst_name = None
@@ -399,7 +385,7 @@ def model_from_dict(d: dict) -> FittedModel:
 
 
 @dataclass(frozen=True)
-class ReferenceModel(LinearScore):
+class ReferenceModel:
     """Published coefficient table for one target, usable for scoring.
 
     Coefficients are stored exactly as published (three decimals), so columns
@@ -410,11 +396,6 @@ class ReferenceModel(LinearScore):
     target: str
     columns: tuple[str, ...]  # intercept first
     coef: tuple[float, ...]
-    se: tuple[float, ...]
-    stars: tuple[str, ...]
-    log_likelihood: float
-    aic: float
-    n_obs: int
     non_scorable: tuple[str, ...]
 
 
@@ -429,11 +410,6 @@ def load_reference_models() -> dict[str, ReferenceModel]:
             target=target,
             columns=cols,
             coef=tuple(float(m["coef"][c]) for c in cols),
-            se=tuple(float(m["se"][c]) for c in cols),
-            stars=tuple(m["stars"][c] for c in cols),
-            log_likelihood=float(m["log_likelihood"]),
-            aic=float(m["aic"]),
-            n_obs=int(m["n_obs"]),
             non_scorable=tuple(m.get("non_scorable", ())),
         )
     return out

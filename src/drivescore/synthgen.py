@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping
 
@@ -140,19 +140,12 @@ class SynthConfig:
     n_drivers: int
     weeks: int = 26
     seed: int = 0
-    betas: Mapping[str, Mapping[str, float]] = field(
-        default_factory=lambda: DEFAULT_PLANTED_BETAS)
 
     def __post_init__(self):
         if self.n_drivers < 2:
             raise ValueError("need at least 2 drivers")
         if self.weeks < 1:
             raise ValueError("need at least 1 week")
-        for target, beta in self.betas.items():
-            if target not in ("weak", "medium", "strong"):
-                raise ValueError(f"planted betas only for severity targets, got {target!r}")
-            if "const" not in beta:
-                raise ValueError(f"planted beta for {target!r} lacks 'const'")
 
 
 @dataclass
@@ -170,7 +163,7 @@ class SynthResult:
             "seed": self.config.seed,
             "n_drivers": self.config.n_drivers,
             "weeks": self.config.weeks,
-            "planted_betas": {t: dict(b) for t, b in self.config.betas.items()},
+            "planted_betas": {t: dict(b) for t, b in DEFAULT_PLANTED_BETAS.items()},
             "positive_counts": {t: int(sum(v)) for t, v in self.outcomes.items()},
             "profiles_digest": digest,
         }
@@ -383,8 +376,7 @@ def draw_claims(dev: str, probabilities: Mapping[str, float],
     """Accident outcomes and claim records for one driver.
 
     ``probabilities`` holds the driver's planted probability per severity
-    target; a target without one never fires.  Each target draws
-    independently; a positive target yields one culprit claim whose loss
+    target.  Each target draws independently; a positive target yields one culprit claim whose loss
     ratio sits strictly inside that class's band.  Small noise fractions add
     a non-culprit claim and a zero-loss claim, both of which must label as
     "none".
@@ -392,11 +384,7 @@ def draw_claims(dev: str, probabilities: Mapping[str, float],
     outcomes: dict[str, int] = {}
     claims: list[ClaimRecord] = []
     for target in ("weak", "medium", "strong"):
-        p = probabilities.get(target)
-        if p is None:
-            outcomes[target] = 0
-            continue
-        hit = int(rng.random() < p)
+        hit = int(rng.random() < probabilities[target])
         outcomes[target] = hit
         if hit:
             lo, hi = RATIO_RANGES[target]
@@ -428,7 +416,8 @@ def generate_population(config: SynthConfig) -> SynthResult:
     features = FeatureTable(tuple(p.device_id for p in profiles), ("lifetime",) * n,
                             (SYNTH_EPOCH,) * n, ((),) * n,
                             feature_matrix([oracle_features(p, config.weeks) for p in profiles]))
-    planted = {t: planted_probabilities(features, beta) for t, beta in config.betas.items()}
+    planted = {t: planted_probabilities(features, beta)
+               for t, beta in DEFAULT_PLANTED_BETAS.items()}
     claims: list[ClaimRecord] = []
     outcomes: dict[str, list[int]] = {"any": [], "weak": [], "medium": [], "strong": []}
     # each driver's claims come from its own core stream, after its profile
@@ -453,9 +442,8 @@ def _slice_peak(profile: DriverProfile, hour: int) -> float:
 
 
 def generate_event_log(profile: DriverProfile, weeks: int,
-                       rng: np.random.Generator,
-                       start: datetime = SYNTH_EPOCH) -> DeviceLog:
-    """One realized JSONL-schema event log for a driver.
+                       rng: np.random.Generator) -> DeviceLog:
+    """One realized JSONL-schema event log for a driver, from ``SYNTH_EPOCH``.
 
     Trips run along the equator at constant per-band speeds with positions
     every 60 s, so the GPS pipeline recovers the profile's band structure;
@@ -472,7 +460,7 @@ def generate_event_log(profile: DriverProfile, weeks: int,
 
     prev_end = None
     for day_i in range(weeks * 7):
-        day = start + timedelta(days=day_i)
+        day = SYNTH_EPOCH + timedelta(days=day_i)
         weekendish = day.weekday() >= 5
         p_active = profile.active_prob_holiday if weekendish else profile.active_prob_business
         if rng.random() >= p_active:
@@ -536,8 +524,8 @@ def generate_event_log(profile: DriverProfile, weeks: int,
             prev_end = trip_end + timedelta(seconds=30)
     if not log.records:
         # guarantee a parseable log even for a pathologically inactive draw
-        emit(start + timedelta(hours=12), IGNITION_ON)
-        emit(start + timedelta(hours=12, minutes=30), IGNITION_OFF)
+        emit(SYNTH_EPOCH + timedelta(hours=12), IGNITION_ON)
+        emit(SYNTH_EPOCH + timedelta(hours=12, minutes=30), IGNITION_OFF)
     return log.build()[0]
 
 

@@ -475,6 +475,24 @@ class TestErrorPaths:
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("parse", "--events", tmp_path / "nope.jsonl") == 2
 
+    @pytest.mark.parametrize("args, culprit", [
+        (["parse", "--events", "{dir}"], "dir"),
+        (["--config", "{dir}", "parse", "--events", "{file}"], "dir"),
+        (["label", "--claims", "{claims}", "--out-dir", "{file}"], "file"),
+    ])
+    def test_unusable_path_exits_1(self, small_pop, tmp_path, capsys, args, culprit):
+        """A path that is there but is a directory where a file goes, or the
+        reverse, gives one error line naming it, not a traceback."""
+        paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+                 "claims": small_pop / "claims.csv"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("x\n")
+        assert run_cli(*[a.format(**paths) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(paths[culprit]) in err and "Traceback" not in err
+        assert paths["file"].read_text() == "x\n"
+
     def test_unknown_config_key_exits_4(self, small_pop, tmp_path):
         cfg = tmp_path / "drivescore.cfg"
         cfg.write_text("bogus = 1\n")
@@ -559,6 +577,8 @@ class TestErrorPaths:
         (["synth", "--n", "1"], "", "need at least 2 drivers"),
         (["synth", "--n", "20", "--weeks", "0"], "", "need at least 1 week"),
         (["synth"], "n = 20\nweeks = 0", "need at least 1 week"),
+        (["ablate", "--group", ","], "", "group names no feature: ','"),
+        (["ablate", "--group", ""], "", "group names no feature: ''"),
     ])
     def test_out_of_range_option_exits_4_before_reading_input(self, tmp_path, capsys,
                                                                 args, config, message):

@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from drivescore.fileio import atomic_files, atomic_write_chunks, fmt_float, iter_csv_records
+from drivescore.fileio import atomic_files, fmt_float, iter_csv_records
 
 
 class Boom(Exception):
@@ -19,14 +19,16 @@ def _chunks_then_raise():
 
 def test_chunks_are_written_in_order(tmp_path):
     target = tmp_path / "sub" / "out.jsonl"
-    atomic_write_chunks(target, iter(["a\n", "", "bé\n"]))
+    with atomic_files(target) as (f,):
+        f.writelines(iter(["a\n", "", "bé\n"]))
     assert target.read_bytes() == "a\nbé\n".encode("utf-8")
     assert [p.name for p in target.parent.iterdir()] == ["out.jsonl"]
 
 
 def test_failing_chunks_leave_no_file(tmp_path):
     with pytest.raises(Boom):
-        atomic_write_chunks(tmp_path / "out.jsonl", _chunks_then_raise())
+        with atomic_files(tmp_path / "out.jsonl") as (f,):
+            f.writelines(_chunks_then_raise())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -34,7 +36,8 @@ def test_failing_chunks_leave_an_existing_file_unchanged(tmp_path):
     target = tmp_path / "out.jsonl"
     target.write_bytes(b"old contents\n")
     with pytest.raises(Boom):
-        atomic_write_chunks(target, _chunks_then_raise())
+        with atomic_files(target) as (f,):
+            f.writelines(_chunks_then_raise())
     assert target.read_bytes() == b"old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
@@ -61,7 +64,8 @@ def test_files_written_together_replace_their_paths_together(tmp_path):
 def test_files_get_the_mode_open_gives_them(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
-        atomic_write_chunks(tmp_path / "one.jsonl", ["a\n"])
+        with atomic_files(tmp_path / "one.jsonl") as (f,):
+            f.write("a\n")
         with atomic_files(tmp_path / "two.csv", tmp_path / "three.csv"):
             pass
     finally:

@@ -65,7 +65,7 @@ class TestFitLogistic:
         y = (rng.random(120) < 1 / (1 + np.exp(-(0.8 * X[:, 0] - 0.3)))).astype(int)
         d = design(X, y)
         m = fit_logistic(d, tol=1e-10)
-        eta = d.X @ m.coef_vector
+        eta = d.X @ np.asarray(m.coef)
         ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
         assert m.log_likelihood == pytest.approx(ll, abs=1e-9)
         assert m.aic == 2.0 * len(m.coef) - 2.0 * m.log_likelihood
@@ -77,7 +77,7 @@ class TestFitLogistic:
         d = design(X, y)
         m = fit_logistic(d, tol=1e-10)
         X1 = d.X
-        p = 1 / (1 + np.exp(-(X1 @ m.coef_vector)))
+        p = 1 / (1 + np.exp(-(X1 @ np.asarray(m.coef))))
         info = X1.T @ (X1 * (p * (1 - p))[:, None])
         se = np.sqrt(np.diag(np.linalg.inv(info)))
         assert m.se == pytest.approx(tuple(se), rel=1e-6)
@@ -151,14 +151,14 @@ class TestBackwardElimination:
         y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(int)
         d = design(np.column_stack([signal, noise]), y, ("signal", "noise"))
         m = backward_eliminate(d, alpha=0.05)
-        assert m.feature_names == ("signal",)
+        assert m.columns == ("const", "signal")
 
     def test_can_reduce_to_intercept_only(self):
         rng = np.random.default_rng(22)
         noise = rng.normal(size=(300, 2))
         y = (rng.random(300) < 0.3).astype(int)
         m = backward_eliminate(design(noise, y), alpha=1e-6)
-        assert m.feature_names == ()
+        assert m.columns == ("const",)
 
     def test_alpha_validation(self):
         d = design([[0.0], [1.0]], [0, 1])

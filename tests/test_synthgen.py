@@ -57,14 +57,6 @@ class TestConfigAndProfileValidation:
         with pytest.raises(ValueError):
             SynthConfig(n_drivers=10, weeks=0, seed=0)
 
-    def test_betas_must_target_severities(self):
-        with pytest.raises(ValueError):
-            SynthConfig(n_drivers=10, weeks=4, seed=0,
-                        betas={"any": {"const": -1.0}})
-        with pytest.raises(ValueError):
-            SynthConfig(n_drivers=10, weeks=4, seed=0,
-                        betas={"weak": {"mileage": 1e-4}})
-
     def test_profile_invariants(self):
         base = sample_profile("p", np.random.default_rng(1))
         with pytest.raises(ValueError):
