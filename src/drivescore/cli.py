@@ -178,8 +178,7 @@ def cmd_parse(ns, grouped: bool = True) -> int:
 
 def cmd_aggregate(ns, grouped: bool = True) -> int:
     from .trips import (DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS,
-                        TRIP_CSV_COLUMNS, aggregate_hourly, hourly_to_row,
-                        segment_trips, trip_to_row)
+                        TRIP_CSV_COLUMNS, hourly_to_row, roll_up, trip_to_row)
 
     events_path = _require(ns.events, "events file")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
@@ -193,8 +192,7 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
         write_trips = csv_row_writer(trips_f, TRIP_CSV_COLUMNS, prov)
         def each(log):
             nonlocal n_hourly, n_trips
-            trips = segment_trips(log, gap)
-            hourly = aggregate_hourly(log, trips, tz)
+            trips, hourly = roll_up(log, gap, tz)
             write_hourly(map(hourly_to_row, hourly))
             write_trips(map(trip_to_row, trips))
             if not trips:
@@ -418,6 +416,9 @@ def cmd_ablate(ns) -> int:
         else:
             group = names
         results.append(ablation_compare(design, target, group))
+        if not group:  # raised after the fits, so a degenerate design still exits 3
+            raise ValueError(f"feature group {group_spec!r}: every column was "
+                             "dropped as constant")
     prov = provenance_line(None, inputs)
     rows = [[r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
             for r in results]

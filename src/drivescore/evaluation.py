@@ -70,16 +70,10 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("need at least one positive and one negative label")
 
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=float)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    sorted_s = np.sort(s)
+    # each score's tie run in sorted order is [left, right); its average rank, 1-based
+    left, right = np.searchsorted(sorted_s, s, "left"), np.searchsorted(sorted_s, s, "right")
+    ranks = 0.5 * (left + right - 1) + 1.0
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -159,11 +153,8 @@ def ablation_compare(design: DesignMatrix, target: str,
     null = fit_logistic(design.intercept_only(), target=target)
     full = fit_logistic(design, target=target)
     r2_with = mcfadden_r2(full.log_likelihood, null.log_likelihood)
-    if group:
-        reduced = fit_logistic(design.drop(group), target=target)
-        r2_without = mcfadden_r2(reduced.log_likelihood, null.log_likelihood)
-    else:
-        r2_without = r2_with
+    reduced = fit_logistic(design.drop(group), target=target)
+    r2_without = mcfadden_r2(reduced.log_likelihood, null.log_likelihood)
     return AblationResult(target=target, group=group, r2_with=r2_with,
                           r2_without=r2_without, difference=r2_with - r2_without)
 

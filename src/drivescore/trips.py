@@ -4,8 +4,8 @@ Trips are bounded by ignition pairs when the device reports them and by
 silence gaps between movement events otherwise.  Hourly records carry the
 per-hour mileage split by speed band, the G-band event counts and the hour's
 speed statistics; they are the only input the feature catalog needs besides
-the trips themselves.  Both stages work on a log's columns with a fixed
-number of array passes per device.
+the trips themselves.  ``roll_up`` returns both for one device log, measuring
+its GPS legs once, with a fixed number of array passes over the log's columns.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import ACCEL_BAND_NAMES, SPEED_BAND_NAMES, accel_bands, speed_bands
 from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, POSITION,
-                     SPEED, DeviceLog, epoch_seconds, utc_datetime)
+                     SPEED, DeviceLog, utc_datetime)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -99,23 +99,14 @@ class HourlyRecord(NamedTuple):
                 self.d3_n, self.s1_n, self.s2_n, self.s3_n)
 
 
-_last_legs: tuple = (None, None)  # the log measured last, and its legs
-
-
-def _legs(log: DeviceLog, keep: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _legs(log: DeviceLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t0, t1, km) of each GPS leg, the path between consecutive fixes (movement
-    events with coordinates).  ``segment_trips`` and then ``aggregate_hourly`` ask
-    for the same log, so the legs are kept until asked not to: each is measured once."""
-    global _last_legs
-    last, legs = _last_legs
-    if last is not log:
-        kind = np.frombuffer(log.kind, np.uint8)
-        lat, lon = np.frombuffer(log.lat), np.frombuffer(log.lon)
-        fix = ((kind == POSITION) | (kind == SPEED)) & ~np.isnan(lat) & ~np.isnan(lon)
-        t, lat, lon = np.frombuffer(log.ts, np.int64)[fix], lat[fix], lon[fix]
-        legs = t[:-1], t[1:], haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
-    _last_legs = (log, legs) if keep else (None, None)
-    return legs
+    events with coordinates)."""
+    kind = np.frombuffer(log.kind, np.uint8)
+    lat, lon = np.frombuffer(log.lat), np.frombuffer(log.lon)
+    fix = ((kind == POSITION) | (kind == SPEED)) & ~np.isnan(lat) & ~np.isnan(lon)
+    t, lat, lon = np.frombuffer(log.ts, np.int64)[fix], lat[fix], lon[fix]
+    return t[:-1], t[1:], haversine_km(lat[:-1], lon[:-1], lat[1:], lon[1:])
 
 
 def _spans(ts: np.ndarray, kind: np.ndarray, gap_threshold_s: float):
@@ -152,8 +143,9 @@ def _trip_km(legs, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.bincount(k[k >= 0], weights=legs[2][k >= 0], minlength=len(starts))
 
 
-def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S) -> list[Trip]:
-    """Split a device log into trips.
+def roll_up(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
+            tz: tzinfo = timezone.utc) -> tuple[list[Trip], list[HourlyRecord]]:
+    """Split a device log into trips and roll it up into hourly records.
 
     When the log carries ignition events, each ignition_on opens a trip that
     the next ignition_off closes (an unclosed trip ends at the last movement
@@ -167,8 +159,8 @@ def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD
     trip whose span [start, end] holds both its fixes, so a leg inside the
     second where one trip ends and the next starts counts once, in the
     earlier trip, and a leg that a dropped trip held may count in a kept
-    neighbour.  ``aggregate_hourly`` applies the same rule, so hourly
-    mileage sums to trip mileage.
+    neighbour.  The hourly records (see ``_hourly``) book the same legs, so
+    hourly mileage sums to trip mileage.
     """
     if not gap_threshold_s > 0:
         raise ValueError("gap_threshold_s must be positive")
@@ -182,9 +174,10 @@ def segment_trips(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD
     if not kept.all():  # legs a dropped trip held may go to a kept one
         starts, ends = starts[kept], ends[kept]
         km = _trip_km(legs, starts, ends)
-    return [Trip(log.device_id, utc_datetime(s), utc_datetime(e), m, float(e - s),
-                 m / ((e - s) / 3600.0))
-            for s, e, m in zip(starts.tolist(), ends.tolist(), km.tolist())]
+    trips = [Trip(log.device_id, utc_datetime(s), utc_datetime(e), m, float(e - s),
+                  m / ((e - s) / 3600.0))
+             for s, e, m in zip(starts.tolist(), ends.tolist(), km.tolist())]
+    return trips, _hourly(log, legs, starts, ends, tz)
 
 
 class _LocalHours:
@@ -250,29 +243,25 @@ def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(n) - n)[run]
 
 
-def aggregate_hourly(log: DeviceLog, trips: Sequence[Trip],
-                     tz: tzinfo = timezone.utc) -> list[HourlyRecord]:
-    """Roll a device log up into one record per active local clock hour.
+def _hourly(log: DeviceLog, legs, starts: np.ndarray, ends: np.ndarray,
+            tz: tzinfo) -> list[HourlyRecord]:
+    """One record per active local clock hour of a device log.
 
-    Mileage comes from the GPS legs ``segment_trips`` gives each trip (a leg
-    goes to the first trip whose span holds both its fixes), so hourly
-    mileage sums to trip mileage; a leg spanning an hour boundary is split in
-    proportion to time.  Hours are keyed by the UTC instant at which the
-    local hour starts: a fall-back night has two 02:00 hours, one per
-    offset, and a zone offset by a half hour starts its hours at half past.
-    Each leg's mileage lands in the speed band of the leg's average speed.
-    The hourly mean speed is the mileage-weighted mean of leg speeds, the
-    hourly max is taken over both leg speeds and the speed-package readings
-    of hours with a record, and every in-band acceleration event in the log
-    is counted in its hour whether or not it falls inside a trip.  Hours with
-    no activity produce no record.  ``trips`` are in time order and overlap
-    at most in one shared second, as ``segment_trips`` returns them.
+    ``legs`` are the log's GPS legs and ``starts``/``ends`` the epoch-second
+    bounds of its kept trips, in time order, as ``roll_up`` holds them.
+    Mileage comes from the legs each trip holds (a leg goes to the first trip
+    whose span holds both its fixes), so hourly mileage sums to trip mileage;
+    a leg spanning an hour boundary is split in proportion to time.  Hours
+    are keyed by the UTC instant at which the local hour starts: a fall-back
+    night has two 02:00 hours, one per offset, and a zone offset by a half
+    hour starts its hours at half past.  Each leg's mileage lands in the
+    speed band of the leg's average speed.  The hourly mean speed is the
+    mileage-weighted mean of leg speeds, the hourly max is taken over both
+    leg speeds and the speed-package readings of hours with a record, and
+    every in-band acceleration event in the log is counted in its hour
+    whether or not it falls inside a trip.  Hours with no activity produce
+    no record.
     """
-    starts = np.array([epoch_seconds(t.start) for t in trips], np.int64)
-    ends = np.array([epoch_seconds(t.end) for t in trips], np.int64)
-    if np.any(starts[1:] < ends[:-1]):
-        raise ValueError("trips must be in time order and overlap at most in one second")
-    legs = _legs(log, keep=False)
     mine = (_leg_trips(legs, starts, ends) >= 0) & (legs[2] != 0.0)
     t0, t1, km = (x[mine] for x in legs)
     dt = t1 - t0

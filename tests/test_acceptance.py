@@ -22,7 +22,7 @@ from drivescore.glm import DesignMatrix, fit_logistic, load_reference_models, \
     predict_proba
 from drivescore.ingest import parse_event_log
 from drivescore.labeling import ClaimRecord, classify_severity
-from drivescore.trips import aggregate_hourly, segment_trips
+from drivescore.trips import roll_up
 from conftest import GOLDEN_WEEK, csv_rows, run_cli
 
 UTC = timezone.utc
@@ -319,8 +319,7 @@ def test_criterion_08_golden_week_fixture():
         res = parse_event_log(fh)
     assert not res.skipped
     (log,) = res.logs
-    trips = segment_trips(log)
-    hourly = aggregate_hourly(log, trips, UTC)
+    trips, hourly = roll_up(log)
     table = compute_feature_table(hourly, trips, "weekly")
     assert table.device_ids == ("g1",)
     assert table.window_kinds == ("weekly",)

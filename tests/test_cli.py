@@ -9,7 +9,7 @@ import pytest
 
 from drivescore import evaluation
 from drivescore.evaluation import DegenerateLabelsError
-from drivescore.features import FEATURE_CSV_COLUMNS, FEATURE_NAMES
+from drivescore.features import ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES
 from drivescore.fileio import render_csv
 from drivescore.glm import model_to_dict, fit_logistic, DesignMatrix
 from drivescore.labeling import CLAIMS_CSV_COLUMNS
@@ -629,22 +629,42 @@ class TestErrorPaths:
             "error: group must be one of ['accel', 'mileage', 'speed'] or model "
             "feature names; unknown: nosuch\n")
 
+    @staticmethod
+    def _zeroed(src, dst, names):
+        """``src`` features with every value of the ``names`` columns set to 0."""
+        with open(src, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(dropwhile(lambda ln: ln.startswith("#"), f)))
+        cols = [rows[0].index(name) for name in names]
+        for row in rows[1:]:
+            for col in cols:
+                row[col] = "0"
+        with open(dst, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        return dst
+
     def test_constant_ablation_feature_exits_1(self, small_pop, tmp_path, capsys):
         """A model feature that is constant, so dropped from the design, is a
         data error with a plain message."""
-        with open(small_pop / "features.csv", encoding="utf-8", newline="") as f:
-            rows = list(csv.reader(dropwhile(lambda ln: ln.startswith("#"), f)))
-        col = rows[0].index("over_400")
-        for row in rows[1:]:
-            row[col] = "0"
-        features = tmp_path / "features.csv"
-        with open(features, "w", encoding="utf-8", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows(rows)
+        features = self._zeroed(small_pop / "features.csv", tmp_path / "features.csv",
+                                ["over_400"])
         assert run_cli("ablate", "--features", features,
                        "--claims", small_pop / "claims.csv", "--group", "over_400",
                        "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err == \
             "error: feature group not in design: ['over_400']\n"
+
+    def test_ablation_group_all_constant_exits_1(self, small_pop, tmp_path, capsys):
+        """A named group whose every column was dropped as constant has nothing
+        to ablate: an error naming the group, not a difference of +0.0000."""
+        features = self._zeroed(small_pop / "features.csv", tmp_path / "features.csv",
+                                ACCEL_FEATURES)
+        out = tmp_path / "out"
+        assert run_cli("ablate", "--features", features,
+                       "--claims", small_pop / "claims.csv", "--group", "accel",
+                       "--out-dir", out) == 1
+        assert capsys.readouterr().err == \
+            "error: feature group 'accel': every column was dropped as constant\n"
+        assert not (out / "ablation.csv").exists()
 
 
 class TestConfigPassthrough:

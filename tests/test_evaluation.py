@@ -51,6 +51,10 @@ def test_auc_invariances(rows):
     assert roc_auc([-s for s in scores], labels) == pytest.approx(1.0 - base,
                                                                   abs=1e-12)
     assert 0.0 <= base <= 1.0
+    # the rank sum equals exhaustive pair counting, ties earning half credit
+    pos, neg = [s for s, y in rows if y == 1], [s for s, y in rows if y == 0]
+    pairs = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    assert base == pairs / (len(pos) * len(neg))
 
 
 class TestSplits:

@@ -101,14 +101,14 @@ def test_a_failure_inside_a_device_leaves_no_artifact(tmp_path, capsys, monkeypa
                                                       order):
     from drivescore import trips
 
-    real = trips.aggregate_hourly
+    real = trips.roll_up
 
     def fail_on_c(log, *args):
         if log.device_id == "c":
             raise ValueError("rollup failed")
         return real(log, *args)
 
-    monkeypatch.setattr(trips, "aggregate_hourly", fail_on_c)
+    monkeypatch.setattr(trips, "roll_up", fail_on_c)
     events = tmp_path / "events.jsonl"
     events.write_text(GROUPED if order == "grouped" else INTERLEAVED)
     out = tmp_path / "out"

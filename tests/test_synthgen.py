@@ -16,7 +16,7 @@ from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, LONG_TRIP_LO,
                                  generate_event_log, generate_population,
                                  iter_event_logs, oracle_features,
                                  planted_probabilities, sample_profile)
-from drivescore.trips import aggregate_hourly, segment_trips
+from drivescore.trips import roll_up
 
 UTC = timezone.utc
 
@@ -122,9 +122,8 @@ class TestEventLogRealism:
         profile = sample_profile("r1", np.random.default_rng(3))
         log = generate_event_log(profile, 2, np.random.default_rng(3))
         assert log.device_id == "r1"
-        trips = segment_trips(log)
+        trips, hourly = roll_up(log)
         assert trips, "a fortnight of driving must contain trips"
-        hourly = aggregate_hourly(log, trips, UTC)
         assert sum(r.mileage_km for r in hourly) == pytest.approx(
             sum(t.mileage_km for t in trips), rel=1e-6)
 
@@ -195,8 +194,7 @@ class TestDeskScaleClosedLoop:
         )
         weeks = 52
         log = generate_event_log(profile, weeks, np.random.default_rng(13))
-        trips = segment_trips(log)
-        hourly = aggregate_hourly(log, trips, UTC)
+        trips, hourly = roll_up(log)
         table = compute_feature_table(hourly, trips, "lifetime", frozenset(), UTC)
         assert table.device_ids == ("desk0",)
         got = dict(zip(FEATURE_NAMES, table.values[0].tolist()))

