@@ -9,22 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-# (band, lo, hi) with hi=None meaning open-ended; each family's bands are
-# contiguous, so a band's lower edge alone places a value.
-# The 0.4-0.5 G braking range belongs to d3, keeping the d-bands contiguous.
-_ACCEL_BANDS = (("a1", 0.3, 0.4), ("a2", 0.4, 0.5), ("a3", 0.5, None))
-_DECEL_BANDS = (("d1", 0.2, 0.3), ("d2", 0.3, 0.4), ("d3", 0.4, None))
-_SIDE_BANDS = (("s1", 0.3, 0.4), ("s2", 0.4, 0.6), ("s3", 0.6, None))
-
 ACCEL_BAND_NAMES = ("a1", "a2", "a3", "d1", "d2", "d3", "s1", "s2", "s3")
 
 SPEED_BAND_NAMES = ("m_lt20", "m_20_60", "m_60_100", "m_100_130", "m_gt130")
 _SPEED_EDGES = np.array([20.0, 60.0, 100.0, 130.0])
 
 
-# Lower band edges per family: longitudinal positive, longitudinal braking, lateral.
-_LOWER_EDGES = np.array([[lo for _, lo, _ in family]
-                         for family in (_ACCEL_BANDS, _DECEL_BANDS, _SIDE_BANDS)])
+# Lower band edges, one row per family: a1-a3 (longitudinal positive),
+# d1-d3 (braking, on |g|), s1-s3 (lateral, on |g|).  Each family's bands are
+# contiguous and its top band open-ended, so a lower edge alone places a
+# value.  The 0.4-0.5 G braking range belongs to d3, keeping the d-bands
+# contiguous.
+_LOWER_EDGES = np.array([[0.3, 0.4, 0.5], [0.2, 0.3, 0.4], [0.3, 0.4, 0.6]])
 
 
 def accel_bands(lateral: np.ndarray, accel_g: np.ndarray) -> np.ndarray:

@@ -439,24 +439,21 @@ def cmd_report(ns) -> int:
     y = build_targets(claims, table.device_ids, "any")
     names = list(MODEL_FEATURE_NAMES)
     values = table.model_values
-    stat_rows, notes = descriptive_stats(values, y, names)
+    stats, notes = descriptive_stats(values, y)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     prov = provenance_line(None, inputs)
-    stats = ("mean_acc", "std_acc", "mean_noacc", "std_noacc")
-    rows = [[r["feature"]] + [float("nan") if r[k] is None else r[k] for k in stats]
-            for r in stat_rows]
     atomic_write_text(ns.out_dir / "descriptive.csv",
                       render_csv(("feature", "mean_accidents", "std_accidents",
                                   "mean_no_accidents", "std_no_accidents"),
-                                 rows, prov))
+                                 [[name, *row] for name, row in zip(names, stats.tolist())],
+                                 prov))
     corr, cnotes = correlation_matrix(values, names)
     for note in cnotes:
         print(f"note: {note}", file=sys.stderr)
-    corr_rows = [[names[i]] + [float(corr[i, j]) for j in range(len(names))]
-                 for i in range(len(names))]
     atomic_write_text(ns.out_dir / "correlation.csv",
-                      render_csv(["feature"] + names, corr_rows, prov))
+                      render_csv(["feature"] + names,
+                                 [[name, *row] for name, row in zip(names, corr.tolist())], prov))
     print(f"wrote descriptive.csv and correlation.csv over {len(table.device_ids)} rows")
     return 0
 

@@ -159,33 +159,31 @@ def ablation_compare(design: DesignMatrix, target: str,
                           r2_without=r2_without, difference=r2_with - r2_without)
 
 
-def descriptive_stats(values: np.ndarray, targets: Sequence[int],
-                      names: Sequence[str]) -> tuple[list[dict], list[str]]:
+def descriptive_stats(values: np.ndarray,
+                      targets: Sequence[int]) -> tuple[np.ndarray, list[str]]:
     """Per-feature mean/std split by accident status.
 
-    ``values`` holds one row per observation and one column per name.
-    Returns rows {feature, mean_acc, std_acc, mean_noacc, std_noacc} where a
-    statistic is None when its group is too small to define it, plus a list
-    of diagnostics.  Standard deviations use the n-1 denominator.
+    ``values`` holds one row per observation and one column per feature.
+    Returns a (features, 4) matrix whose columns are the mean and std with
+    accidents, then without, NaN where a group is too small to define the
+    statistic, plus a list of diagnostics.  Standard deviations use the n-1
+    denominator.
     """
     values = np.asarray(values, dtype=float)
     if len(values) != len(targets):
         raise ValueError("features and targets length mismatch")
     y = np.asarray(targets)
-    notes = []
     groups = {"acc": np.flatnonzero(y == 1), "noacc": np.flatnonzero(y == 0)}
-    for gname, idx in groups.items():
-        if len(idx) == 0:
-            notes.append(f"group {gname!r} is empty")
-    rows = []
-    for name, col in zip(names, values.T):
-        row: dict = {"feature": name}
-        for gname, idx in groups.items():
+    notes = [f"group {gname!r} is empty" for gname, idx in groups.items() if len(idx) == 0]
+    stats = np.full((values.shape[1], 4), np.nan)
+    for row, col in zip(stats, values.T):
+        for g, idx in enumerate(groups.values()):
             vals = col[idx]
-            row[f"mean_{gname}"] = float(vals.mean()) if len(vals) else None
-            row[f"std_{gname}"] = float(vals.std(ddof=1)) if len(vals) >= 2 else None
-        rows.append(row)
-    return rows, notes
+            if len(vals):
+                row[2 * g] = vals.mean()
+            if len(vals) >= 2:
+                row[2 * g + 1] = vals.std(ddof=1)
+    return stats, notes
 
 
 def correlation_matrix(values: np.ndarray,

@@ -117,88 +117,75 @@ def _window_features(recs: Sequence[HourlyRecord], trs: Sequence[Trip],
                      ) -> tuple[tuple[str, ...], dict[str, float]]:
     """Quality flags and indicator values of one device's records in one window.
 
-    Ratio features never divide by zero: with no trips the trip-share block
-    is 0 and the row is flagged ``no_trips``; with no mileage every share
-    and per-100km frequency is 0 under ``no_mileage``.
+    One pass over the records and one over the trips; float totals add left
+    to right from 0.0.  Ratio features never divide by zero: with no trips
+    the trip-share block is 0 and the row is flagged ``no_trips``; with no
+    mileage every share and per-100km frequency is 0 under ``no_mileage``.
     """
-    flags = set()
-    total_km = sum(r.mileage_km for r in recs)
-    if total_km <= 0:
-        flags.add("no_mileage")
-    if not trs:
-        flags.add("no_trips")
-
-    covered: set[date] = {r.hour_start.date() for r in recs}
-    n_days = len(covered)
-    n_business = sum(1 for d in covered if not is_holiday_class(d, calendar))
-    n_holi = n_days - n_business
-
-    slice_km = {"day": 0.0, "mj": 0.0, "ej": 0.0, "night": 0.0,
-                "business": 0.0, "holi": 0.0}
+    total_km = business_km = holi_km = day_km = mj_km = ej_km = night_km = 0.0
+    speed_wsum = max_sp = max_ej = max_mj = max_n = 0.0
     band_km = [0.0] * 5
     counts = [0] * 9
-    speed_wsum = 0.0
-    max_sp = max_ej = max_mj = max_n = 0.0
+    holiday: dict[date, bool] = {}  # each covered day's class
     for r in recs:
-        h = r.hour_start.hour
+        km, h, day = r.mileage_km, r.hour_start.hour, r.hour_start.date()
+        total_km += km
+        if day not in holiday:
+            holiday[day] = is_holiday_class(day, calendar)
+        if holiday[day]:
+            holi_km += km
+        else:
+            business_km += km
         if h in DAYTIME_HOURS:
-            slice_km["day"] += r.mileage_km
+            day_km += km
         if h in MORNING_JAM_HOURS:
-            slice_km["mj"] += r.mileage_km
+            mj_km += km
             max_mj = max(max_mj, r.max_speed_kph)
         if h in EVENING_JAM_HOURS:
-            slice_km["ej"] += r.mileage_km
+            ej_km += km
             max_ej = max(max_ej, r.max_speed_kph)
         if h in NIGHT_HOURS:
-            slice_km["night"] += r.mileage_km
+            night_km += km
             max_n = max(max_n, r.max_speed_kph)
-        if is_holiday_class(r.hour_start.date(), calendar):
-            slice_km["holi"] += r.mileage_km
-        else:
-            slice_km["business"] += r.mileage_km
         max_sp = max(max_sp, r.max_speed_kph)
-        speed_wsum += r.mileage_km * r.mean_speed_kph
-        for i, km in enumerate(r.band_mileage()):
-            band_km[i] += km
+        speed_wsum += km * r.mean_speed_kph
+        for i, band in enumerate(r.band_mileage()):
+            band_km[i] += band
         for i, n in enumerate(r.accel_counts()):
             counts[i] += n
+    n_days = len(holiday)
+    n_holi = sum(holiday.values())
 
-    n_trips = len(trs)
-    if n_trips:
-        short10 = sum(1 for t in trs if t.mileage_km < TRIP_SHORT_KM[0])
-        short30 = sum(1 for t in trs if t.mileage_km < TRIP_SHORT_KM[1])
-        long200 = sum(1 for t in trs if t.mileage_km > TRIP_LONG_KM[0])
-        long400 = sum(1 for t in trs if t.mileage_km > TRIP_LONG_KM[1])
-        avg_trip_mil = sum(t.mileage_km for t in trs) / n_trips
-        avg_trip_dur = sum(t.duration_s for t in trs) / n_trips
-        below_10 = _share(short10, n_trips)
-        below_30 = _share(short30, n_trips)
-        over_200 = _share(long200, n_trips)
-        over_400 = _share(long400, n_trips)
-    else:
-        avg_trip_mil = avg_trip_dur = 0.0
-        below_10 = below_30 = over_200 = over_400 = 0.0
+    n_trips, short10, short30, long200, long400 = len(trs), 0, 0, 0, 0
+    trip_km = trip_s = 0.0
+    for t in trs:
+        short10 += t.mileage_km < TRIP_SHORT_KM[0]
+        short30 += t.mileage_km < TRIP_SHORT_KM[1]
+        long200 += t.mileage_km > TRIP_LONG_KM[0]
+        long400 += t.mileage_km > TRIP_LONG_KM[1]
+        trip_km += t.mileage_km
+        trip_s += t.duration_s
 
     per100 = [100.0 * n / total_km if total_km > 0 else 0.0 for n in counts]
-
-    return tuple(sorted(flags)), {
+    flags = ("no_mileage",) * (total_km <= 0) + ("no_trips",) * (not n_trips)
+    return flags, {
         "mileage": total_km,
         "trips_day": n_trips / n_days if n_days else 0.0,
-        "below_10_pr": below_10,
-        "below_30_pr": below_30,
-        "over_200": over_200,
-        "over_400": over_400,
+        "below_10_pr": _share(short10, n_trips),
+        "below_30_pr": _share(short30, n_trips),
+        "over_200": _share(long200, n_trips),
+        "over_400": _share(long400, n_trips),
         "d_total_m": _per_day(total_km, n_days),
-        "avg_trip_mil": avg_trip_mil,
-        "avg_trip_dur": avg_trip_dur,
-        "d_business_m": _per_day(slice_km["business"], n_business),
-        "d_day_m": _per_day(slice_km["day"], n_days),
-        "d_evening_jam_m": _per_day(slice_km["ej"], n_days),
-        "d_morning_jam_m": _per_day(slice_km["mj"], n_days),
-        "d_holi_m": _per_day(slice_km["holi"], n_holi),
-        "d_night_m": _per_day(slice_km["night"], n_days),
-        "day_m_pr": _share(slice_km["day"], total_km),
-        "ej_m_pr": _share(slice_km["ej"], total_km),
+        "avg_trip_mil": trip_km / n_trips if n_trips else 0.0,
+        "avg_trip_dur": trip_s / n_trips if n_trips else 0.0,
+        "d_business_m": _per_day(business_km, n_days - n_holi),
+        "d_day_m": _per_day(day_km, n_days),
+        "d_evening_jam_m": _per_day(ej_km, n_days),
+        "d_morning_jam_m": _per_day(mj_km, n_days),
+        "d_holi_m": _per_day(holi_km, n_holi),
+        "d_night_m": _per_day(night_km, n_days),
+        "day_m_pr": _share(day_km, total_km),
+        "ej_m_pr": _share(ej_km, total_km),
         "avg_sp": speed_wsum / total_km if total_km > 0 else 0.0,
         "max_sp": max_sp,
         "max_ej_sp": max_ej,

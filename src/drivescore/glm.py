@@ -260,7 +260,6 @@ def fit_logistic(design: DesignMatrix, target: str = "",
         else:
             pvals.append(wald_pvalue(beta[j], se[j]))
 
-    ll = _log_likelihood(X @ beta, y)
     return FittedModel(
         target=target,
         columns=design.columns,

@@ -224,7 +224,9 @@ def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     else:
         speeds.append(140.0)
         w.append(0.0)
-    total_w = sum(w)
+    total_w = 0.0
+    for x in w:  # left to right: builtin sum compensates floats from Python 3.12 on
+        total_w += x
     shares = tuple(x / total_w for x in w)
 
     # per-hour jitter keeps the slice mileages from collapsing onto a
@@ -298,7 +300,7 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     covered = covered_b + covered_h
     mileage = n_trips * mean_len
 
-    hw = p.hour_weights
+    hw = p.hour_weights  # numpy scalars, which builtin sum adds left to right on any Python
     share_day = sum(hw[7:19])
     share_mj = sum(hw[8:10])
     share_ej = sum(hw[18:20])
@@ -317,7 +319,10 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
         return (1.0 - q_long) * base + q_long * u
 
     d_total = mileage / covered
-    hours_per_km = sum(q / v for q, v in zip(p.band_shares, p.band_speeds))
+    hours_per_km = avg_sp = 0.0
+    for q, v in zip(p.band_shares, p.band_speeds):
+        hours_per_km += q / v
+        avg_sp += q * v
 
     return dict(
         mileage=mileage,
@@ -337,7 +342,7 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
         d_night_m=d_total * share_night,
         day_m_pr=100.0 * share_day,
         ej_m_pr=100.0 * share_ej,
-        avg_sp=sum(q * v for q, v in zip(p.band_shares, p.band_speeds)),
+        avg_sp=avg_sp,
         max_sp=p.peak_sp,
         max_ej_sp=p.peak_ej_sp,
         max_mj_sp=p.peak_mj_sp,

@@ -138,9 +138,9 @@ def _leg_trips(legs, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.where(inside, k, -1)
 
 
-def _trip_km(legs, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    k = _leg_trips(legs, starts, ends)
-    return np.bincount(k[k >= 0], weights=legs[2][k >= 0], minlength=len(starts))
+def _trip_km(legs, k: np.ndarray, n: int) -> np.ndarray:
+    """The mileage of each of ``n`` trips, given each leg's trip ``k``."""
+    return np.bincount(k[k >= 0], weights=legs[2][k >= 0], minlength=n)
 
 
 def roll_up(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
@@ -169,15 +169,19 @@ def roll_up(log: DeviceLog, gap_threshold_s: float = DEFAULT_GAP_THRESHOLD_S,
     long_enough = ends - starts >= MIN_TRIP_DURATION_S
     starts, ends = starts[long_enough], ends[long_enough]
     legs = _legs(log)
-    km = _trip_km(legs, starts, ends)
+    k = _leg_trips(legs, starts, ends)
+    km = _trip_km(legs, k, len(starts))
     kept = km >= MIN_TRIP_MILEAGE_KM
     if not kept.all():  # legs a dropped trip held may go to a kept one
         starts, ends = starts[kept], ends[kept]
-        km = _trip_km(legs, starts, ends)
+        k = _leg_trips(legs, starts, ends)
+        km = _trip_km(legs, k, len(starts))
     trips = [Trip(log.device_id, utc_datetime(s), utc_datetime(e), m, float(e - s),
                   m / ((e - s) / 3600.0))
              for s, e, m in zip(starts.tolist(), ends.tolist(), km.tolist())]
-    return trips, _hourly(log, legs, starts, ends, tz)
+    counted = k >= 0
+    del k  # so the index does not add to the peak that _hourly's arrays set
+    return trips, _hourly(log, legs, counted, tz)
 
 
 class _LocalHours:
@@ -220,8 +224,6 @@ class _LocalHours:
         s = self.hours * 3600
         first, then = s + -self.before % 3600, s + -self.after % 3600
         changed = self.before != self.after
-        if not changed.any():  # one boundary per hour, already in order
-            return first
         return _unique(np.concatenate([
             first[first < self.change], self.change[changed],
             then[changed & (then >= self.change) & (then < s + 3600)]]))[0]
@@ -243,26 +245,23 @@ def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(n) - n)[run]
 
 
-def _hourly(log: DeviceLog, legs, starts: np.ndarray, ends: np.ndarray,
-            tz: tzinfo) -> list[HourlyRecord]:
+def _hourly(log: DeviceLog, legs, counted: np.ndarray, tz: tzinfo) -> list[HourlyRecord]:
     """One record per active local clock hour of a device log.
 
-    ``legs`` are the log's GPS legs and ``starts``/``ends`` the epoch-second
-    bounds of its kept trips, in time order, as ``roll_up`` holds them.
-    Mileage comes from the legs each trip holds (a leg goes to the first trip
-    whose span holds both its fixes), so hourly mileage sums to trip mileage;
-    a leg spanning an hour boundary is split in proportion to time.  Hours
-    are keyed by the UTC instant at which the local hour starts: a fall-back
-    night has two 02:00 hours, one per offset, and a zone offset by a half
-    hour starts its hours at half past.  Each leg's mileage lands in the
-    speed band of the leg's average speed.  The hourly mean speed is the
-    mileage-weighted mean of leg speeds, the hourly max is taken over both
-    leg speeds and the speed-package readings of hours with a record, and
-    every in-band acceleration event in the log is counted in its hour
-    whether or not it falls inside a trip.  Hours with no activity produce
-    no record.
+    ``legs`` are the log's GPS legs and ``counted`` marks those a kept trip
+    holds, as ``roll_up`` assigns them.  Mileage comes from those legs only,
+    so hourly mileage sums to trip mileage; a leg spanning an hour boundary
+    is split in proportion to time.  Hours are keyed by the UTC instant at
+    which the local hour starts: a fall-back night has two 02:00 hours, one
+    per offset, and a zone offset by a half hour starts its hours at half
+    past.  Each leg's mileage lands in the speed band of the leg's average
+    speed.  The hourly mean speed is the mileage-weighted mean of leg speeds,
+    the hourly max is taken over both leg speeds and the speed-package
+    readings of hours with a record, and every in-band acceleration event in
+    the log is counted in its hour whether or not it falls inside a trip.
+    Hours with no activity produce no record.
     """
-    mine = (_leg_trips(legs, starts, ends) >= 0) & (legs[2] != 0.0)
+    mine = counted & (legs[2] != 0.0)
     t0, t1, km = (x[mine] for x in legs)
     dt = t1 - t0
     speed = np.divide(km, dt / 3600.0, out=np.zeros(len(km)), where=dt > 0)

@@ -6,8 +6,15 @@ last bit of a feature or a planted probability.  These digests were taken
 from the code before the feature catalog moved to one columnar table, and
 every later version must write the same bytes.  The provenance header
 carries the tool version, so a version bump re-records them.
+
+From Python 3.12 the builtin ``sum`` adds floats with Neumaier compensation,
+while 3.10 and 3.11 add left to right.  Each test runs the commands under
+the running interpreter's ``sum`` and under ``compensated_sum``, a stand-in
+for the newer one, so the digests hold on every supported Python.
 """
+import builtins
 import hashlib
+import math
 
 import pytest
 
@@ -45,29 +52,76 @@ SYNTH_DIGESTS = {
 
 # synth --n 5 --weeks 2 --seed 3 --logs: 11,515 events from five devices
 EVENTS_DIGEST = "7a3703eff63bc04a8930d1a22003c6afffe38ae71ffe4811554b54c3bf7d4ce1"
+# its weekly features.csv, aggregated and windowed under --tz UTC
+EVENTS_FEATURES_DIGEST = "23a475e6ccc76cf7022f0951034e498f18404561cf7f747016217c31ab524b1c"
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of Python 3.12 and later: runs of exact floats add
+    with Neumaier's compensation, anything else adds plainly."""
+    def settle(total, c):
+        return total + c if c and math.isfinite(c) else total
+
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total, c = settle(total, c) + x, 0.0
+    return settle(total, c)
+
+
+SUMS = [pytest.param(sum, id="builtin_sum"), pytest.param(compensated_sum, id="compensated_sum")]
+
+
+def _run(float_sum, *args) -> int:
+    """``run_cli`` with ``float_sum`` standing in for the builtin ``sum``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "sum", float_sum)
+        return run_cli(*args)
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("window,tz", sorted(FEATURES_DIGESTS))
-def test_golden_week_features_bytes(tmp_path, window, tz):
-    assert run_cli("aggregate", "--events", GOLDEN_WEEK, "--tz", tz,
-                   "--out-dir", tmp_path) == 0
-    assert run_cli("features", "--hourly", tmp_path / "hourly.csv",
-                   "--trips", tmp_path / "trips.csv", "--window", window,
-                   "--tz", tz, "--out-dir", tmp_path) == 0
-    assert _sha256(tmp_path / "features.csv") == FEATURES_DIGESTS[window, tz]
+def _features(float_sum, events, window, tz, out) -> str:
+    """The digest of ``features.csv`` from an events file, aggregated and windowed under ``tz``."""
+    assert _run(float_sum, "aggregate", "--events", events, "--tz", tz, "--out-dir", out) == 0
+    assert _run(float_sum, "features", "--hourly", out / "hourly.csv", "--trips",
+                out / "trips.csv", "--window", window, "--tz", tz, "--out-dir", out) == 0
+    return _sha256(out / "features.csv")
 
 
-def test_synth_artifact_bytes(tmp_path):
-    assert run_cli("synth", "--n", 300, "--weeks", 8, "--seed", 4,
-                   "--out-dir", tmp_path) == 0
+# the builtin-sum cases keep the ids they had before the sum became a parameter
+@pytest.mark.parametrize("window,tz,float_sum", [
+    pytest.param(window, tz, float_sum, id=f"{window}-{tz}{suffix}")
+    for float_sum, suffix in ((sum, ""), (compensated_sum, "-compensated_sum"))
+    for window, tz in sorted(FEATURES_DIGESTS)])
+def test_golden_week_features_bytes(tmp_path, window, tz, float_sum):
+    assert _features(float_sum, GOLDEN_WEEK, window, tz, tmp_path) == FEATURES_DIGESTS[window, tz]
+
+
+@pytest.mark.parametrize("float_sum", SUMS)
+def test_synth_artifact_bytes(tmp_path, float_sum):
+    assert _run(float_sum, "synth", "--n", 300, "--weeks", 8, "--seed", 4,
+                "--out-dir", tmp_path) == 0
     assert {name: _sha256(tmp_path / name) for name in SYNTH_DIGESTS} == SYNTH_DIGESTS
 
 
-def test_synth_event_log_bytes(tmp_path):
-    assert run_cli("synth", "--n", 5, "--weeks", 2, "--seed", 3, "--logs",
-                   "--out-dir", tmp_path) == 0
+@pytest.mark.parametrize("float_sum", SUMS)
+def test_synth_event_log_bytes(tmp_path, float_sum):
+    assert _run(float_sum, "synth", "--n", 5, "--weeks", 2, "--seed", 3, "--logs",
+                "--out-dir", tmp_path) == 0
     assert _sha256(tmp_path / "events.jsonl") == EVENTS_DIGEST
+
+
+@pytest.mark.parametrize("float_sum", SUMS)
+def test_event_path_features_bytes(tmp_path, float_sum):
+    """The golden week is too small for the two sums to differ; this log's weeks are not."""
+    assert _run(float_sum, "synth", "--n", 5, "--weeks", 2, "--seed", 3, "--logs",
+                "--out-dir", tmp_path) == 0
+    assert _features(float_sum, tmp_path / "events.jsonl", "weekly", "UTC",
+                     tmp_path) == EVENTS_FEATURES_DIGEST

@@ -137,21 +137,21 @@ class TestAblation:
 class TestDescriptiveStats:
     def test_group_means(self):
         feats = np.array([[1.0], [3.0], [10.0], [20.0]])
-        rows, notes = descriptive_stats(feats, [0, 0, 1, 1], ["f"])
+        stats, notes = descriptive_stats(feats, [0, 0, 1, 1])
         assert notes == []
-        row = rows[0]
-        assert row["mean_noacc"] == pytest.approx(2.0)
-        assert row["mean_acc"] == pytest.approx(15.0)
-        assert row["std_acc"] == pytest.approx(np.std([10, 20], ddof=1))
+        mean_acc, std_acc, mean_noacc, _ = stats[0]
+        assert mean_noacc == pytest.approx(2.0)
+        assert mean_acc == pytest.approx(15.0)
+        assert std_acc == pytest.approx(np.std([10, 20], ddof=1))
 
     def test_empty_group_noted(self):
-        rows, notes = descriptive_stats(np.array([[1.0]]), [0], ["f"])
+        stats, notes = descriptive_stats(np.array([[1.0]]), [0])
         assert any("acc" in n for n in notes)
-        assert rows[0]["mean_acc"] is None
+        assert np.isnan(stats[0, 0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            descriptive_stats(np.array([[1.0]]), [0, 1], ["f"])
+            descriptive_stats(np.array([[1.0]]), [0, 1])
 
 
 class TestCorrelationMatrix:

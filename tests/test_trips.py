@@ -371,7 +371,8 @@ def _local_hour_key(tz, t):
 def zone_logs(draw):
     """A zone and 1-3 ignition trips near one of its offset changes, every time
     on a whole minute; legs last 0 to 90 minutes, and a trip may start in the
-    second the previous one ended."""
+    second the previous one ended or about half a year later, by when a zone
+    with daylight saving time has changed its offset."""
     name = draw(st.sampled_from(ZONES))
     t = draw(st.sampled_from(_anchors(name))) + 60 * draw(st.integers(-300, 120))
     objs, lon = [], 0.0
@@ -385,7 +386,7 @@ def zone_logs(draw):
                          "kind": "position", "lat": 0.0, "lon": lon})
         t = max(t, on + 60)
         objs.append({"device": "d1", "ts": iso(T0 + timedelta(seconds=t)), "kind": "ignition_off"})
-        t += 60 * draw(st.sampled_from([0, 0, 5, 30]))
+        t += 60 * draw(st.sampled_from([0, 0, 5, 30, 262_800]))
     return name, objs
 
 
