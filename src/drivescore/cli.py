@@ -383,9 +383,12 @@ def cmd_premium(ns) -> int:
             raise ConfigError(f"{key} must be finite, got {value}")
         if value < 0:
             raise ConfigError(f"{key} must be non-negative, got {value}")
-    scores = list(iter_csv_records(scores_path, ("device", "probability"),
-                                   lambda cells: (cells[0], float(cells[1]))))
-    out_rows = [[dev, p, compute_premium(p, loss, admin, margin)] for dev, p in scores]
+
+    def priced(cells):
+        p = float(cells[1])
+        return [cells[0], p, compute_premium(p, loss, admin, margin)]
+
+    out_rows = list(iter_csv_records(scores_path, ("device", "probability"), priced))
     prov = provenance_line(None, {"scores": sha256_digest(scores_path)})
     atomic_write_text(ns.out_dir / "premiums.csv",
                       render_csv(("device", "probability", "premium"), out_rows, prov))
@@ -484,7 +487,7 @@ def cmd_synth(ns) -> int:
     if ns.logs:
         with atomic_files(ns.out_dir / "events.jsonl") as (events,):
             events.writelines(iter_log_lines(iter_event_logs(result, ns.logs_limit)))
-    pos = {t: sum(v) for t, v in result.outcomes.items()}
+    pos = truth["positive_counts"]
     print(f"generated {n} drivers, {len(result.claims)} claims "
           f"(any={pos['any']}, weak={pos['weak']}, medium={pos['medium']}, "
           f"strong={pos['strong']})")

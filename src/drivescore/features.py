@@ -58,10 +58,13 @@ def load_holiday_calendar(path) -> frozenset[date]:
     """Read a holiday calendar file: one YYYY-MM-DD per line, # comments."""
     days = set()
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
+        for lineno, raw in enumerate(f, 1):
+            line = raw.split("#", 1)[0].strip()
             if line:
-                days.add(date.fromisoformat(line))
+                try:
+                    days.add(date.fromisoformat(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return frozenset(days)
 
 

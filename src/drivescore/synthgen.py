@@ -27,7 +27,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .bands import ACCEL_BAND_NAMES
-from .features import FEATURE_NAMES, FeatureTable, feature_matrix
+from .features import (DAYTIME_HOURS, EVENING_JAM_HOURS, FEATURE_NAMES, MORNING_JAM_HOURS,
+                       NIGHT_HOURS, TRIP_LONG_KM, TRIP_SHORT_KM, FeatureTable, feature_matrix)
 from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, LONGITUDINAL,
                      POSITION, SPEED, DeviceLog, DeviceLogBuilder, epoch_seconds)
 from .trips import EARTH_RADIUS_KM
@@ -169,13 +170,10 @@ class SynthResult:
         }
 
 
-def _driver_streams(seed: int, n: int) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    root = np.random.SeedSequence(seed)
-    out = []
-    for child in root.spawn(n):
-        core, events = child.spawn(2)
-        out.append((np.random.default_rng(core), np.random.default_rng(events)))
-    return out
+def _driver_seeds(seed: int, n: int) -> Iterator[list[np.random.SeedSequence]]:
+    """Each driver's ``[core, events]`` seeds: profile and claims, then event log."""
+    for child in np.random.SeedSequence(seed).spawn(n):
+        yield child.spawn(2)
 
 
 def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
@@ -190,8 +188,8 @@ def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     mu = rng.uniform(1.2, 2.1) + 0.15 * taste
     sigma = rng.uniform(0.95, 1.60)
     # separate long-haul component: the lognormal tail alone cannot reach the
-    # observed share of 200 km+ trips, and it would leave the 400 km+ share so
-    # thin across drivers that its column degenerates in the fit
+    # observed over_200 share, and it would leave the over_400 share so thin
+    # across drivers that its column degenerates in the fit
     q_long = rng.uniform(0.0, 0.035)
     hi_long = rng.uniform(240.0, 640.0)
 
@@ -232,9 +230,9 @@ def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     # per-hour jitter keeps the slice mileages from collapsing onto a
     # three-parameter family (exact collinearity in the feature matrix)
     hw = _BASE_HOUR_WEIGHTS * np.exp(rng.normal(0.0, 0.30, size=24))
-    hw[0:6] *= rng.uniform(0.50, 2.80)
-    hw[8:10] *= rng.uniform(0.50, 2.00)
-    hw[18:20] *= rng.uniform(0.50, 2.00)
+    hw[list(NIGHT_HOURS)] *= rng.uniform(0.50, 2.80)
+    hw[list(MORNING_JAM_HOURS)] *= rng.uniform(0.50, 2.00)
+    hw[list(EVENING_JAM_HOURS)] *= rng.uniform(0.50, 2.00)
     hw /= hw.sum()
 
     # mild shared aggression plus dominant per-band jitter: siblings stay
@@ -289,8 +287,7 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     p = profile
     q_long = p.long_trip_prob
     mean_len = (1.0 - q_long) * math.exp(p.trip_log_mu + 0.5 * p.trip_log_sigma ** 2)
-    if q_long > 0.0:
-        mean_len += q_long * 0.5 * (LONG_TRIP_LO + p.long_trip_hi)
+    mean_len += q_long * 0.5 * (LONG_TRIP_LO + p.long_trip_hi)
     lam_b, lam_h = p.trips_per_active_day, p.trips_per_active_day * p.holiday_factor
     trips_b = 5.0 * weeks * p.active_prob_business * lam_b
     trips_h = 2.0 * weeks * p.active_prob_holiday * lam_h
@@ -301,15 +298,13 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     mileage = n_trips * mean_len
 
     hw = p.hour_weights  # numpy scalars, which builtin sum adds left to right on any Python
-    share_day = sum(hw[7:19])
-    share_mj = sum(hw[8:10])
-    share_ej = sum(hw[18:20])
-    share_night = sum(hw[0:6])
+    share_day = sum(hw[h] for h in DAYTIME_HOURS)
+    share_mj = sum(hw[h] for h in MORNING_JAM_HOURS)
+    share_ej = sum(hw[h] for h in EVENING_JAM_HOURS)
+    share_night = sum(hw[h] for h in NIGHT_HOURS)
 
     def trip_len_cdf(km: float) -> float:
         base = _norm_cdf((math.log(km) - p.trip_log_mu) / p.trip_log_sigma)
-        if q_long == 0.0:
-            return base
         if km <= LONG_TRIP_LO:
             u = 0.0
         elif km >= p.long_trip_hi:
@@ -327,10 +322,10 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     return dict(
         mileage=mileage,
         trips_day=n_trips / covered,
-        below_10_pr=100.0 * trip_len_cdf(10.0),
-        below_30_pr=100.0 * trip_len_cdf(30.0),
-        over_200=100.0 * (1.0 - trip_len_cdf(200.0)),
-        over_400=100.0 * (1.0 - trip_len_cdf(400.0)),
+        below_10_pr=100.0 * trip_len_cdf(TRIP_SHORT_KM[0]),
+        below_30_pr=100.0 * trip_len_cdf(TRIP_SHORT_KM[1]),
+        over_200=100.0 * (1.0 - trip_len_cdf(TRIP_LONG_KM[0])),
+        over_400=100.0 * (1.0 - trip_len_cdf(TRIP_LONG_KM[1])),
         d_total_m=d_total,
         avg_trip_mil=mean_len,
         avg_trip_dur=mean_len * hours_per_km * 3600.0,
@@ -376,6 +371,11 @@ def planted_probabilities(features: FeatureTable, beta: Mapping[str, float]) -> 
     return [_logistic(e) for e in np.broadcast_to(eta, len(features)).tolist()]
 
 
+def _insured_sum(rng: np.random.Generator) -> float:
+    """A lognormal insured sum with mean ``MEAN_INS_SUM``."""
+    return math.exp(rng.normal(math.log(MEAN_INS_SUM) - 0.5 * INS_SIGMA ** 2, INS_SIGMA))
+
+
 def draw_claims(dev: str, probabilities: Mapping[str, float],
                 rng: np.random.Generator) -> tuple[dict[str, int], list[ClaimRecord]]:
     """Accident outcomes and claim records for one driver.
@@ -394,15 +394,13 @@ def draw_claims(dev: str, probabilities: Mapping[str, float],
         if hit:
             lo, hi = RATIO_RANGES[target]
             ratio = rng.uniform(lo, hi)
-            ins = math.exp(rng.normal(math.log(MEAN_INS_SUM) - 0.5 * INS_SIGMA ** 2,
-                                      INS_SIGMA))
+            ins = _insured_sum(rng)
             claims.append(ClaimRecord(dev, ratio * ins, ins, True))
     if rng.random() < NONCULPRIT_CLAIM_RATE:
-        ins = math.exp(rng.normal(math.log(MEAN_INS_SUM) - 0.5 * INS_SIGMA ** 2, INS_SIGMA))
+        ins = _insured_sum(rng)
         claims.append(ClaimRecord(dev, rng.uniform(0.01, 0.40) * ins, ins, False))
     if rng.random() < ZERO_LOSS_CLAIM_RATE:
-        ins = math.exp(rng.normal(math.log(MEAN_INS_SUM) - 0.5 * INS_SIGMA ** 2, INS_SIGMA))
-        claims.append(ClaimRecord(dev, 0.0, ins, True))
+        claims.append(ClaimRecord(dev, 0.0, _insured_sum(rng), True))
     outcomes["any"] = int(any(outcomes[t] for t in ("weak", "medium", "strong")))
     return outcomes, claims
 
@@ -415,9 +413,8 @@ def generate_population(config: SynthConfig) -> SynthResult:
     per-driver substreams so logs never disturb outcome draws.
     """
     n, width = config.n_drivers, max(5, len(str(config.n_drivers - 1)))
-    streams = _driver_streams(config.seed, n)
-    profiles = [sample_profile(f"d{i:0{width}d}", core_rng)
-                for i, (core_rng, _) in enumerate(streams)]
+    core_rngs = [np.random.default_rng(core) for core, _ in _driver_seeds(config.seed, n)]
+    profiles = [sample_profile(f"d{i:0{width}d}", rng) for i, rng in enumerate(core_rngs)]
     features = FeatureTable(tuple(p.device_id for p in profiles), ("lifetime",) * n,
                             (SYNTH_EPOCH,) * n, ((),) * n,
                             feature_matrix([oracle_features(p, config.weeks) for p in profiles]))
@@ -426,9 +423,8 @@ def generate_population(config: SynthConfig) -> SynthResult:
     claims: list[ClaimRecord] = []
     outcomes: dict[str, list[int]] = {"any": [], "weak": [], "medium": [], "strong": []}
     # each driver's claims come from its own core stream, after its profile
-    for i, (profile, (core_rng, _)) in enumerate(zip(profiles, streams)):
-        out, cl = draw_claims(profile.device_id, {t: p[i] for t, p in planted.items()},
-                              core_rng)
+    for i, (profile, rng) in enumerate(zip(profiles, core_rngs)):
+        out, cl = draw_claims(profile.device_id, {t: p[i] for t, p in planted.items()}, rng)
         claims.extend(cl)
         for t, v in out.items():
             outcomes[t].append(v)
@@ -437,11 +433,11 @@ def generate_population(config: SynthConfig) -> SynthResult:
 
 
 def _slice_peak(profile: DriverProfile, hour: int) -> float:
-    if hour in range(8, 10):
+    if hour in MORNING_JAM_HOURS:
         return profile.peak_mj_sp
-    if hour in range(18, 20):
+    if hour in EVENING_JAM_HOURS:
         return profile.peak_ej_sp
-    if hour in range(0, 6):
+    if hour in NIGHT_HOURS:
         return profile.peak_n_sp
     return profile.peak_sp
 
@@ -457,7 +453,6 @@ def generate_event_log(profile: DriverProfile, weeks: int,
     """
     log = DeviceLogBuilder(profile.device_id)
     lon = float(rng.uniform(-30.0, 30.0))
-    hours = np.arange(24)
     hour_p = np.asarray(profile.hour_weights)
 
     def emit(ts: datetime, kind: int, **kw):
@@ -472,7 +467,7 @@ def generate_event_log(profile: DriverProfile, weeks: int,
             continue
         lam = profile.trips_per_active_day * (profile.holiday_factor if weekendish else 1.0)
         n_trips = 1 + int(rng.poisson(lam - 1.0))
-        trip_hours = sorted(int(h) for h in rng.choice(hours, size=n_trips, p=hour_p))
+        trip_hours = sorted(int(h) for h in rng.choice(24, size=n_trips, p=hour_p))
         for h in trip_hours:
             trip_start = day + timedelta(hours=int(h), minutes=float(rng.uniform(0.0, 25.0)))
             if prev_end is not None and trip_start <= prev_end + timedelta(minutes=5):
@@ -510,17 +505,14 @@ def generate_event_log(profile: DriverProfile, weeks: int,
             duration_s = (trip_end - trip_start).total_seconds()
             for band, rate in zip(ACCEL_BAND_NAMES, profile.accel_rates):
                 for _ in range(rng.poisson(rate * length / 100.0)):
-                    g_lo, g_hi = G_RANGES[band]
-                    g = float(rng.uniform(g_lo, min(g_hi, g_lo + 0.2)))
+                    g = float(rng.uniform(*G_RANGES[band]))
                     offset = float(rng.uniform(1.0, max(2.0, duration_s - 1.0)))
                     ts = trip_start + timedelta(seconds=offset)
-                    if band.startswith("a"):
-                        emit(ts, ACCELERATION, axis=LONGITUDINAL, accel_g=round(g, 4))
-                    elif band.startswith("d"):
-                        emit(ts, ACCELERATION, axis=LONGITUDINAL, accel_g=round(-g, 4))
-                    else:
-                        sign = 1.0 if rng.random() < 0.5 else -1.0
-                        emit(ts, ACCELERATION, axis=LATERAL, accel_g=round(sign * g, 4))
+                    if band.startswith("s"):  # lateral, to either side
+                        axis, sign = LATERAL, 1.0 if rng.random() < 0.5 else -1.0
+                    else:  # longitudinal, braking negative
+                        axis, sign = LONGITUDINAL, -1.0 if band.startswith("d") else 1.0
+                    emit(ts, ACCELERATION, axis=axis, accel_g=round(sign * g, 4))
             if rng.random() < 0.10:
                 burst = _slice_peak(profile, h)
                 ts = trip_start + timedelta(seconds=float(rng.uniform(1.0, max(2.0, duration_s - 1.0))))
@@ -536,8 +528,6 @@ def generate_event_log(profile: DriverProfile, weeks: int,
 
 def iter_event_logs(result: SynthResult, limit: int | None = None) -> Iterator[DeviceLog]:
     """Event logs for the first ``limit`` drivers (all if None), reproducibly."""
-    streams = _driver_streams(result.config.seed, result.config.n_drivers)
-    n = result.config.n_drivers if limit is None else min(limit, result.config.n_drivers)
-    for i in range(n):
-        _, event_rng = streams[i]
-        yield generate_event_log(result.profiles[i], result.config.weeks, event_rng)
+    seeds = _driver_seeds(result.config.seed, result.config.n_drivers)
+    for profile, (_, events) in zip(result.profiles[:limit], seeds):
+        yield generate_event_log(profile, result.config.weeks, np.random.default_rng(events))

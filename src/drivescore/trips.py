@@ -230,8 +230,10 @@ class _LocalHours:
 
 
 def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``a`` in order and where each first occurs: np.unique
-    with ``return_index``, minus the numpy.ma import np.unique makes."""
+    """The distinct values of ``a`` in order and where each first occurs.  Two of the
+    three callers want only the values, but values-only np.unique imports numpy.ma
+    (10-15 ms on numpy 2.4); np.unique(a, return_index=True) imports nothing more
+    and is no faster on 3,000 ints (170 against 159 us)."""
     order = np.argsort(a, kind="stable")
     a = a[order]
     first = np.ones(len(a), bool)

@@ -471,6 +471,19 @@ class TestShortRows:
         assert not (tmp_path / "out").exists()
 
 
+class TestBadProbability:
+    @pytest.mark.parametrize("probability", ["nan", "1.5"])
+    def test_names_the_row(self, tmp_path, capsys, probability):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"device,probability\nd1,{probability}\nd2,0.5\n")
+        capsys.readouterr()
+        assert run_cli("premium", "--scores", scores, "--loss", 1000,
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {scores}: data row 1: p_accident must be within [0, 1]\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestErrorPaths:
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("parse", "--events", tmp_path / "nope.jsonl") == 2

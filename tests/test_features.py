@@ -15,6 +15,7 @@ from drivescore.features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS,
                                  read_feature_table)
 from drivescore.fileio import render_csv
 from drivescore.trips import HourlyRecord, Trip
+from conftest import run_cli
 
 UTC = timezone.utc
 MON = datetime(2021, 6, 7, tzinfo=UTC)   # Monday
@@ -187,6 +188,23 @@ class TestHolidayCalendar:
         cal = load_holiday_calendar(p)
         assert cal == frozenset({date(2021, 6, 14), date(2021, 11, 4)})
         assert is_holiday_class(date(2021, 6, 14), cal)
+
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys):
+        cal = tmp_path / "cal.txt"
+        cal.write_text("# national days\n2021-06-14\nnot-a-date  # typo\n")
+        want = f"{cal}:3: Invalid isoformat string: 'not-a-date'"
+        with pytest.raises(ValueError) as exc:
+            load_holiday_calendar(cal)
+        assert str(exc.value) == want
+        # the calendar is read before either CSV, so empty ones suffice
+        (tmp_path / "hourly.csv").touch()
+        (tmp_path / "trips.csv").touch()
+        capsys.readouterr()
+        assert run_cli("features", "--hourly", tmp_path / "hourly.csv",
+                       "--trips", tmp_path / "trips.csv", "--holidays", cal,
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_feature_row_round_trip(tmp_path):

@@ -7,16 +7,18 @@ from datetime import timezone
 import numpy as np
 import pytest
 
+from drivescore.bands import ACCEL_BAND_NAMES, accel_bands, speed_bands
 from drivescore.features import FEATURE_NAMES, compute_feature_table
 from drivescore.ingest import iter_log_lines
-from drivescore.labeling import build_targets, classify_severity
-from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, LONG_TRIP_LO,
+from drivescore.labeling import ClaimRecord, build_targets, classify_severity
+from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, G_RANGES, LONG_TRIP_LO,
                                  RATIO_RANGES, SYNTH_EPOCH, DriverProfile,
                                  SynthConfig, SynthResult, _BASE_HOUR_WEIGHTS,
                                  generate_event_log, generate_population,
                                  iter_event_logs, oracle_features,
                                  planted_probabilities, sample_profile)
 from drivescore.trips import roll_up
+from conftest import assert_same_logs
 
 UTC = timezone.utc
 
@@ -47,6 +49,16 @@ class TestDeterminism:
         p2 = sample_profile("d0", np.random.default_rng(7))
         assert p1 == p2
 
+    def test_one_generator_per_driver_and_per_log(self, monkeypatch):
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: made.append(seed) or real(seed))
+        res = generate_population(small_config(n_drivers=10, weeks=1))
+        assert len(made) == 10
+        list(iter_event_logs(res, limit=3))
+        assert len(made) == 13
+
 
 class TestConfigAndProfileValidation:
     def test_population_floor(self):
@@ -67,6 +79,32 @@ class TestConfigAndProfileValidation:
             replace(base, peak_n_sp=base.peak_sp + 1)
         with pytest.raises(ValueError):
             replace(base, band_shares=(0.5, 0.2, 0.1, 0.1, 0.05))
+
+
+class TestPlantedRangesClassify:
+    """The generator's draw ranges sit inside the bands the pipeline reads back."""
+
+    @pytest.mark.parametrize("band", ACCEL_BAND_NAMES)
+    def test_g_range_ends_fall_in_their_band(self, band):
+        lo, hi = G_RANGES[band]
+        g = np.array([lo, np.nextafter(hi, lo)])
+        sign = -1.0 if band.startswith("d") else 1.0
+        lateral = np.full(2, band.startswith("s"))
+        got = accel_bands(lateral, sign * g)
+        assert got.tolist() == [ACCEL_BAND_NAMES.index(band)] * 2
+        if band.startswith("s"):  # either side of the car
+            assert accel_bands(lateral, -g).tolist() == got.tolist()
+
+    @pytest.mark.parametrize("cls", sorted(RATIO_RANGES))
+    def test_ratio_range_ends_classify_as_their_class(self, cls):
+        for ratio in RATIO_RANGES[cls]:
+            assert classify_severity(ClaimRecord("d", ratio, 1.0, True)) == cls
+
+    def test_band_speeds_fall_in_their_speed_band(self):
+        # oracle_features reads band_shares[i] as the mileage of speed band i
+        for seed in range(200):
+            p = sample_profile("b", np.random.default_rng(seed))
+            assert speed_bands(np.array(p.band_speeds)).tolist() == [0, 1, 2, 3, 4], seed
 
 
 class TestPlantedTruth:
@@ -142,6 +180,9 @@ class TestEventLogRealism:
         logs = list(iter_event_logs(res, limit=3))
         assert [log.device_id for log in logs] == \
             [p.device_id for p in res.profiles[:3]]
+        full = list(iter_event_logs(res))
+        assert len(full) == 10
+        assert_same_logs(logs, full[:3])
 
 
 def test_oracle_features_are_coherent():
