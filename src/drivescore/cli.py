@@ -29,13 +29,12 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 from . import __version__
-from .fileio import (WINDOW_KINDS, atomic_files, atomic_write_text,
-                     csv_row_writer, iter_csv_records, provenance_line, render_csv, sha256_digest)
-from .ingest import (DeviceOrderError, EventValidationError, iter_log_lines,
-                     parse_event_file, validate_log)
-from .labeling import (CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
-                       ClaimValidationError, EstimationError, build_targets,
-                       claim_from_row, classify_severity, compute_premium)
+from .fileio import (WINDOW_KINDS, atomic_files, csv_row_writer, iter_csv_records,
+                     provenance_line, sha256_digest, write_csv)
+from .ingest import DeviceOrderError, iter_log_lines, parse_event_file, validate_log
+from .labeling import (BOOLEANS, CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
+                       EstimationError, build_targets, claim_from_row,
+                       classify_severity, compute_premium)
 
 REFERENCE_MODEL_TOKEN = "paper-reference"
 
@@ -53,6 +52,10 @@ class ConfigError(ValueError):
 
 class InputMissingError(FileNotFoundError):
     pass
+
+
+# An error's exit code: that of the first class here it is an instance of, else 1.
+EXIT_CODES = ((InputMissingError, 2), (EstimationError, 3), (ConfigError, 4))
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -86,13 +89,9 @@ def _opt(ns, key: str, cast, default):
     if raw is None:
         return default
     try:
-        if cast is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
+        if cast is bool and raw.lower() not in BOOLEANS:
             raise ValueError(raw)
-        return cast(raw)
+        return BOOLEANS[raw.lower()] if cast is bool else cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: bad value {raw!r} ({exc})") from None
 
@@ -144,7 +143,8 @@ def _provenance_obj(seed: int | None, inputs: dict[str, str]) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    with atomic_files(path) as (f,):
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _read_claims(path: Path):
@@ -226,8 +226,7 @@ def cmd_features(ns) -> int:
         iter_csv_records(trips_path, TRIP_CSV_COLUMNS, trip_from_row), window, calendar, tz)
     prov = provenance_line(None, {"hourly": sha256_digest(hourly_path),
                                   "trips": sha256_digest(trips_path)})
-    atomic_write_text(ns.out_dir / "features.csv",
-                      render_csv(FEATURE_CSV_COLUMNS, feature_rows(table), prov))
+    write_csv(ns.out_dir / "features.csv", FEATURE_CSV_COLUMNS, feature_rows(table), prov)
     print(f"wrote {len(table)} feature vectors ({window} windows)")
     return 0
 
@@ -235,11 +234,10 @@ def cmd_features(ns) -> int:
 def cmd_label(ns) -> int:
     claims_path = _require(ns.claims, "claims CSV")
     claims = _read_claims(claims_path)
-    rows = [[c.device_id, classify_severity(c)] for c in claims]
     prov = provenance_line(None, {"claims": sha256_digest(claims_path)})
-    atomic_write_text(ns.out_dir / "labels.csv",
-                      render_csv(LABELS_CSV_COLUMNS, rows, prov))
-    print(f"labeled {len(rows)} claims")
+    write_csv(ns.out_dir / "labels.csv", LABELS_CSV_COLUMNS,
+              ([c.device_id, classify_severity(c)] for c in claims), prov)
+    print(f"labeled {len(claims)} claims")
     return 0
 
 
@@ -270,16 +268,6 @@ def _build_design(table, claims, target):
     return design, [n for n, c in zip(MODEL_FEATURE_NAMES, constant) if c]
 
 
-def _eval_report_csv(reports, prov):
-    header = ("target", "auc_in_sample", "auc_out_of_sample", "mcfadden_r2",
-              "n_train", "n_test", "seed", "note")
-    rows = [[r.target, r.auc_in_sample,
-             "" if r.auc_out_of_sample is None else r.auc_out_of_sample,
-             r.mcfadden_r2, r.n_train, r.n_test, r.seed, r.note]
-            for r in reports]
-    return render_csv(header, rows, prov)
-
-
 def _fit_targets(ns, write_models: bool):
     """Backward elimination and the train/test report for every target.
 
@@ -308,8 +296,13 @@ def _fit_targets(ns, write_models: bool):
             payload["provenance"] = _provenance_obj(spec.seed, inputs)
             _write_json(ns.out_dir / f"model_{target}.json", payload)
         del design, selected, model  # so the next target's design is built alone
-    atomic_write_text(ns.out_dir / "eval_report.csv",
-                      _eval_report_csv(reports, provenance_line(spec.seed, inputs)))
+    write_csv(ns.out_dir / "eval_report.csv",
+              ("target", "auc_in_sample", "auc_out_of_sample", "mcfadden_r2",
+               "n_train", "n_test", "seed", "note"),
+              ([r.target, r.auc_in_sample,
+                "" if r.auc_out_of_sample is None else r.auc_out_of_sample,
+                r.mcfadden_r2, r.n_train, r.n_test, r.seed, r.note] for r in reports),
+              provenance_line(spec.seed, inputs))
     return reports
 
 
@@ -343,9 +336,15 @@ def _load_scoring_model(ns):
                   "and contribute nothing to scores", file=sys.stderr)
         raw = resources.files("drivescore.data").joinpath("reference_models.json").read_bytes()
         return model, hashlib.sha256(raw).hexdigest()
+    if ns.target is not None:
+        raise ConfigError(f"--target applies only to --model {REFERENCE_MODEL_TOKEN}")
     path = _require(ns.model, "model file")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    return model_from_dict(payload), sha256_digest(path)
+    try:
+        model = model_from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model, sha256_digest(path)
 
 
 def cmd_score(ns) -> int:
@@ -364,9 +363,8 @@ def cmd_score(ns) -> int:
             zip(table.device_ids, table.window_kinds, table.window_starts, probs.tolist())]
     prov = provenance_line(None, {"features": sha256_digest(features_path),
                                   "model": model_digest})
-    atomic_write_text(ns.out_dir / "scores.csv",
-                      render_csv(("device", "window_kind", "window_start",
-                                  "probability"), rows, prov))
+    write_csv(ns.out_dir / "scores.csv",
+              ("device", "window_kind", "window_start", "probability"), rows, prov)
     print(f"scored {len(rows)} feature vectors with model {model.target!r}")
     return 0
 
@@ -390,8 +388,7 @@ def cmd_premium(ns) -> int:
 
     out_rows = list(iter_csv_records(scores_path, ("device", "probability"), priced))
     prov = provenance_line(None, {"scores": sha256_digest(scores_path)})
-    atomic_write_text(ns.out_dir / "premiums.csv",
-                      render_csv(("device", "probability", "premium"), out_rows, prov))
+    write_csv(ns.out_dir / "premiums.csv", ("device", "probability", "premium"), out_rows, prov)
     print(f"computed {len(out_rows)} premiums "
           f"(loss={loss}, admin={admin}, margin={margin})")
     return 0
@@ -422,12 +419,10 @@ def cmd_ablate(ns) -> int:
         if not group:  # raised after the fits, so a degenerate design still exits 3
             raise ValueError(f"feature group {group_spec!r}: every column was "
                              "dropped as constant")
-    prov = provenance_line(None, inputs)
-    rows = [[r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
-            for r in results]
-    atomic_write_text(ns.out_dir / "ablation.csv",
-                      render_csv(("target", "group", "r2_with", "r2_without",
-                                  "difference"), rows, prov))
+    write_csv(ns.out_dir / "ablation.csv",
+              ("target", "group", "r2_with", "r2_without", "difference"),
+              ([r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
+               for r in results), provenance_line(None, inputs))
     for r in results:
         print(f"{r.target}: r2 {r.r2_without:.4f} -> {r.r2_with:.4f} "
               f"(+{r.difference:.4f})")
@@ -446,17 +441,15 @@ def cmd_report(ns) -> int:
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     prov = provenance_line(None, inputs)
-    atomic_write_text(ns.out_dir / "descriptive.csv",
-                      render_csv(("feature", "mean_accidents", "std_accidents",
-                                  "mean_no_accidents", "std_no_accidents"),
-                                 [[name, *row] for name, row in zip(names, stats.tolist())],
-                                 prov))
+    write_csv(ns.out_dir / "descriptive.csv",
+              ("feature", "mean_accidents", "std_accidents", "mean_no_accidents",
+               "std_no_accidents"),
+              ([name, *row] for name, row in zip(names, stats.tolist())), prov)
     corr, cnotes = correlation_matrix(values, names)
     for note in cnotes:
         print(f"note: {note}", file=sys.stderr)
-    atomic_write_text(ns.out_dir / "correlation.csv",
-                      render_csv(["feature"] + names,
-                                 [[name, *row] for name, row in zip(names, corr.tolist())], prov))
+    write_csv(ns.out_dir / "correlation.csv", ["feature"] + names,
+              ([name, *row] for name, row in zip(names, corr.tolist())), prov)
     print(f"wrote descriptive.csv and correlation.csv over {len(table.device_ids)} rows")
     return 0
 
@@ -475,12 +468,11 @@ def cmd_synth(ns) -> int:
         raise ConfigError(f"logs_limit must be non-negative, got {ns.logs_limit}")
     result = generate_population(config)
     prov = provenance_line(seed)
-    atomic_write_text(ns.out_dir / "features.csv",
-                      render_csv(FEATURE_CSV_COLUMNS, feature_rows(result.features), prov))
-    claim_rows = [[c.device_id, c.loss_size, c.ins_sum, "1" if c.culprit else "0"]
-                  for c in result.claims]
-    atomic_write_text(ns.out_dir / "claims.csv",
-                      render_csv(CLAIMS_CSV_COLUMNS, claim_rows, prov))
+    write_csv(ns.out_dir / "features.csv", FEATURE_CSV_COLUMNS,
+              feature_rows(result.features), prov)
+    write_csv(ns.out_dir / "claims.csv", CLAIMS_CSV_COLUMNS,
+              ([c.device_id, c.loss_size, c.ins_sum, "1" if c.culprit else "0"]
+               for c in result.claims), prov)
     truth = result.truth()
     truth["provenance"] = _provenance_obj(seed, {})
     _write_json(ns.out_dir / "truth.json", truth)
@@ -505,39 +497,37 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat 'key = value' config file; flags win")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *inputs):
+        """A subcommand with ``--out-dir``, then a required flag per input."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
         p.add_argument("--out-dir", dest="out_dir")
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
         return p
 
-    p = add("parse", cmd_parse, "validate a JSONL event log")
-    p.add_argument("--events", required=True)
+    add("parse", cmd_parse, "validate a JSONL event log", "events")
 
-    p = add("aggregate", cmd_aggregate, "segment trips and build hourly records")
-    p.add_argument("--events", required=True)
+    p = add("aggregate", cmd_aggregate, "segment trips and build hourly records", "events")
     p.add_argument("--tz")
     p.add_argument("--gap-threshold-s", dest="gap_threshold_s", type=float)
 
-    p = add("features", cmd_features, "compute the driving-style feature catalog")
-    p.add_argument("--hourly", required=True)
-    p.add_argument("--trips", required=True)
+    p = add("features", cmd_features, "compute the driving-style feature catalog",
+            "hourly", "trips")
     p.add_argument("--window", choices=WINDOW_KINDS)
     p.add_argument("--tz")
     p.add_argument("--holidays", help="'default', 'none', or a calendar file")
 
-    p = add("label", cmd_label, "classify claim severity")
-    p.add_argument("--claims", required=True)
+    add("label", cmd_label, "classify claim severity", "claims")
 
     def add_fit_options(p):
-        p.add_argument("--features", required=True)
-        p.add_argument("--claims", required=True)
         p.add_argument("--alpha", type=float)
         p.add_argument("--test-fraction", dest="test_fraction", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--stratify", action="store_const", const=True)
 
-    add_fit_options(add("fit", cmd_fit, "fit the four-target model family"))
+    add_fit_options(add("fit", cmd_fit, "fit the four-target model family",
+                        "features", "claims"))
 
     p = add("score", cmd_score, "score feature vectors with a model")
     p.add_argument("--model", required=True,
@@ -545,22 +535,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--target", help=f"target when --model {REFERENCE_MODEL_TOKEN}")
 
-    p = add("premium", cmd_premium, "turn probabilities into premiums")
-    p.add_argument("--scores", required=True)
+    p = add("premium", cmd_premium, "turn probabilities into premiums", "scores")
     p.add_argument("--loss", type=float)
     p.add_argument("--admin", type=float)
     p.add_argument("--margin", type=float)
 
-    add_fit_options(add("evaluate", cmd_evaluate, "in/out-of-sample AUC report"))
+    add_fit_options(add("evaluate", cmd_evaluate, "in/out-of-sample AUC report",
+                        "features", "claims"))
 
-    p = add("ablate", cmd_ablate, "McFadden R^2 with vs without a feature group")
-    p.add_argument("--features", required=True)
-    p.add_argument("--claims", required=True)
+    p = add("ablate", cmd_ablate, "McFadden R^2 with vs without a feature group",
+            "features", "claims")
     p.add_argument("--group", help="accel|speed|mileage or comma-separated names")
 
-    p = add("report", cmd_report, "descriptive statistics and correlations")
-    p.add_argument("--features", required=True)
-    p.add_argument("--claims", required=True)
+    add("report", cmd_report, "descriptive statistics and correlations", "features", "claims")
 
     p = add("synth", cmd_synth, "generate a synthetic population with known risk")
     p.add_argument("--n", type=int)
@@ -583,19 +570,9 @@ def main(argv=None) -> int:
             return ns.func(ns)
         except DeviceOrderError:  # ids not grouped: parse or aggregate again, holding them all
             return ns.func(ns, grouped=False)
-    except InputMissingError as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: a path there but unusable
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (EventValidationError, ClaimValidationError, ValueError, KeyError,
-            OSError) as exc:  # OSError: a path that is there but cannot be used
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), 1)
 
 
 if __name__ == "__main__":

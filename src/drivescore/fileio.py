@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import os
 from contextlib import contextmanager, suppress
 from itertools import dropwhile
@@ -37,12 +36,6 @@ def provenance_line(seed: int | None = None, inputs: dict[str, str] | None = Non
     for name, digest in (inputs or {}).items():
         parts.append(f"{name}=sha256:{digest[:16]}")
     return " | ".join(parts)
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never observe a partial file."""
-    with atomic_files(path) as (f,):
-        f.write(text)
 
 
 @contextmanager
@@ -95,11 +88,11 @@ def csv_row_writer(f: TextIO, header: Sequence[str], provenance: str | None = No
                                     for row in rows)
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]],
-               provenance: str | None = None) -> str:
-    buf = io.StringIO()
-    csv_row_writer(buf, header, provenance)(rows)
-    return buf.getvalue()
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]],
+              provenance: str | None = None) -> None:
+    """Stream a provenance line, ``header`` and ``rows`` into ``path`` atomically."""
+    with atomic_files(path) as (f,):
+        csv_row_writer(f, header, provenance)(rows)
 
 
 def iter_csv_records(path: str | Path, columns: Sequence[str],
@@ -110,22 +103,27 @@ def iter_csv_records(path: str | Path, columns: Sequence[str],
     provenance lines before the header and blank rows are skipped; a data
     row whose first cell starts with ``#`` is read like any other.  A
     missing column, a short row, or a row that ``parse_row`` rejects with
-    TypeError or ValueError raises ValueError naming the file and data row.
+    TypeError or ValueError raises ValueError naming the file and data row;
+    text that is not UTF-8 or that ``csv`` rejects (a cell over its field
+    size limit) raises ValueError naming the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(dropwhile(lambda ln: ln.startswith("#"), f))
-        header = next(reader, [])
-        index = {name: j for j, name in enumerate(header)}
-        missing = [c for c in columns if c not in index]
-        if missing:
-            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
-        picks = [index[c] for c in columns]
-        width = len(header)
-        for i, row in enumerate(filter(None, reader), start=1):
-            try:
-                if len(row) < width:
-                    raise ValueError(f"short row: fewer than {width} cells")
-                record = parse_row([row[j] for j in picks])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: data row {i}: {exc}") from None
-            yield record
+        try:
+            reader = csv.reader(dropwhile(lambda ln: ln.startswith("#"), f))
+            header = next(reader, [])
+            index = {name: j for j, name in enumerate(header)}
+            missing = [c for c in columns if c not in index]
+            if missing:
+                raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+            picks = [index[c] for c in columns]
+            width = len(header)
+            for i, row in enumerate(filter(None, reader), start=1):
+                try:
+                    if len(row) < width:
+                        raise ValueError(f"short row: fewer than {width} cells")
+                    record = parse_row([row[j] for j in picks])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: data row {i}: {exc}") from None
+                yield record
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None

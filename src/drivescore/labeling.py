@@ -21,6 +21,9 @@ MEDIUM_UPPER = 0.20  # r above this is strong; boundaries fall to medium
 CLAIMS_CSV_COLUMNS = ("device", "loss_size", "ins_sum", "culprit")
 LABELS_CSV_COLUMNS = ("device", "class")
 
+# The lower-case spellings a boolean cell or config value may take.
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 class ClaimValidationError(ValueError):
     """A claim record violates its invariants."""
@@ -95,10 +98,10 @@ def build_targets(claims: Sequence[ClaimRecord], devices: Sequence[str],
 def claim_from_row(cells: Sequence[str]) -> ClaimRecord:
     """The claim of one row's cells in ``CLAIMS_CSV_COLUMNS`` order."""
     device, loss_size, ins_sum, culprit = cells
-    flag = culprit.strip().lower()
-    if flag not in ("1", "true", "yes", "0", "false", "no"):
+    flag = BOOLEANS.get(culprit.strip().lower())
+    if flag is None:
         raise ClaimValidationError(f"culprit must be boolean-like, got {culprit!r}")
-    return ClaimRecord(device, float(loss_size), float(ins_sum), flag in ("1", "true", "yes"))
+    return ClaimRecord(device, float(loss_size), float(ins_sum), flag)
 
 
 def compute_premium(p_accident: float, predicted_loss: float,

@@ -158,15 +158,16 @@ class SynthResult:
     outcomes: dict[str, list[int]]  # target -> 0/1 per driver, profile order
 
     def truth(self) -> dict:
-        digest = hashlib.sha256(
-            "\n".join(repr(p) for p in self.profiles).encode()).hexdigest()
+        digest = hashlib.sha256()  # fed a profile at a time: the joined text is never held
+        for i, p in enumerate(self.profiles):
+            digest.update((("\n" if i else "") + repr(p)).encode())
         return {
             "seed": self.config.seed,
             "n_drivers": self.config.n_drivers,
             "weeks": self.config.weeks,
             "planted_betas": {t: dict(b) for t, b in DEFAULT_PLANTED_BETAS.items()},
             "positive_counts": {t: int(sum(v)) for t, v in self.outcomes.items()},
-            "profiles_digest": digest,
+            "profiles_digest": digest.hexdigest(),
         }
 
 

@@ -17,7 +17,7 @@ import pytest
 from drivescore.evaluation import roc_auc
 from drivescore.features import (FEATURE_CSV_COLUMNS, FEATURE_NAMES, FeatureTable,
                                  compute_feature_table, feature_rows)
-from drivescore.fileio import render_csv
+from drivescore.fileio import write_csv
 from drivescore.glm import DesignMatrix, fit_logistic, load_reference_models, \
     predict_proba
 from drivescore.ingest import parse_event_log
@@ -340,8 +340,7 @@ def _logit(p: float) -> float:
 def test_criterion_09_reference_model_scoring(tmp_path):
     zero = FeatureTable(("z0",), ("lifetime",), (datetime(2020, 1, 1, tzinfo=UTC),),
                         ((),), np.zeros((1, len(FEATURE_NAMES))))
-    (tmp_path / "features.csv").write_text(
-        render_csv(FEATURE_CSV_COLUMNS, feature_rows(zero)))
+    write_csv(tmp_path / "features.csv", FEATURE_CSV_COLUMNS, feature_rows(zero))
     assert run_cli("score", "--model", "paper-reference", "--target", "any",
                    "--features", tmp_path / "features.csv",
                    "--out-dir", tmp_path) == 0

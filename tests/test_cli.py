@@ -10,8 +10,8 @@ import pytest
 from drivescore import evaluation
 from drivescore.evaluation import DegenerateLabelsError
 from drivescore.features import ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES
-from drivescore.fileio import render_csv
-from drivescore.glm import model_to_dict, fit_logistic, DesignMatrix
+from drivescore.fileio import write_csv
+from drivescore.glm import FittedModel, model_to_dict, fit_logistic, DesignMatrix
 from drivescore.labeling import CLAIMS_CSV_COLUMNS
 from conftest import csv_rows as rows_of, run_cli
 
@@ -259,6 +259,14 @@ class TestLabel:
         assert err.startswith(f"error: {bad}: data row 2: {cell} must be finite")
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_cell_exits_1_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "claims.csv"
+        bad.write_text(f"device,loss_size,ins_sum,culprit\nd1,100,1000,1\n{'d' * 200_000},1,2,1\n")
+        assert run_cli("label", "--claims", bad, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: field larger than field limit (131072)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_labels_csv(self, small_pop, tmp_path):
         assert run_cli("label", "--claims", small_pop / "claims.csv",
                        "--out-dir", tmp_path) == 0
@@ -300,6 +308,34 @@ class TestScoreAndPremium:
                        "--out-dir", tmp_path) == 0
         assert rows_of(tmp_path / "scores.csv")
 
+    @pytest.mark.parametrize("shape", ["list", "coef list", "null coefficient"])
+    def test_malformed_model_file_exits_1_naming_it(self, small_pop, tmp_path, capsys, shape):
+        payload = model_to_dict(FittedModel("any", ("intercept", "mileage"), (-1.0, 0.5),
+                                            (0.1, 0.1), (0.01, 0.01), -10.0, 24.0, 20, True, 5))
+        if shape == "list":
+            payload = [payload]
+        elif shape == "coef list":
+            payload["coef"] = list(payload["coef"].values())
+        else:
+            payload["coef"]["mileage"] = None
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli("score", "--model", path, "--features", small_pop / "features.csv",
+                       "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err  # the reason's wording varies with the Python version
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_target_with_model_file_exits_4_before_reading_it(self, small_pop, tmp_path,
+                                                               capsys):
+        """The file's own target is what gets scored, so a --target beside it is
+        refused, before the file is even looked for."""
+        assert run_cli("score", "--model", tmp_path / "model.json", "--target", "strong",
+                       "--features", small_pop / "features.csv",
+                       "--out-dir", tmp_path / "out") == 4
+        assert capsys.readouterr().err == \
+            "error: --target applies only to --model paper-reference\n"
+
     def test_premium_requires_loss(self, small_pop, tmp_path):
         assert run_cli("score", "--model", "paper-reference",
                        "--features", small_pop / "features.csv",
@@ -317,9 +353,9 @@ def _model_inputs(dst, columns, positives):
                for name in FEATURE_NAMES]
             for i in range(n)]
     dst.mkdir(parents=True, exist_ok=True)
-    (dst / "features.csv").write_text(render_csv(FEATURE_CSV_COLUMNS, rows))
-    (dst / "claims.csv").write_text(render_csv(
-        CLAIMS_CSV_COLUMNS, [[f"d{i:03d}", 30_000.0, 100_000.0, "1"] for i in positives]))
+    write_csv(dst / "features.csv", FEATURE_CSV_COLUMNS, rows)
+    write_csv(dst / "claims.csv", CLAIMS_CSV_COLUMNS,
+              [[f"d{i:03d}", 30_000.0, 100_000.0, "1"] for i in positives])
     return dst / "features.csv", dst / "claims.csv"
 
 

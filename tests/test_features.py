@@ -13,7 +13,7 @@ from drivescore.features import (ACCEL_FEATURES, FEATURE_CSV_COLUMNS,
                                  FeatureTable, compute_feature_table, feature_rows,
                                  is_holiday_class, load_holiday_calendar,
                                  read_feature_table)
-from drivescore.fileio import render_csv
+from drivescore.fileio import write_csv
 from drivescore.trips import HourlyRecord, Trip
 from conftest import run_cli
 
@@ -213,7 +213,7 @@ def test_feature_row_round_trip(tmp_path):
     trips = [trip(MON.replace(hour=10), 30.0, 45)]
     written = compute_feature_table(hourly, trips, "lifetime")
     path = tmp_path / "features.csv"
-    path.write_text(render_csv(FEATURE_CSV_COLUMNS, feature_rows(written)))
+    write_csv(path, FEATURE_CSV_COLUMNS, feature_rows(written))
     table = read_feature_table(path)
     assert table.device_ids == written.device_ids == ("d1",)
     assert table.quality_flags == written.quality_flags
@@ -225,7 +225,7 @@ def test_feature_row_round_trip(tmp_path):
 class TestReadFeatureTable:
     def _write(self, tmp_path, rows, header=FEATURE_CSV_COLUMNS):
         path = tmp_path / "features.csv"
-        path.write_text(render_csv(header, rows, "# provenance"))
+        write_csv(path, header, rows, "# provenance")
         return path
 
     def _row(self, **cells):
@@ -285,8 +285,7 @@ def feature_tables(draw):
 def test_feature_csv_round_trip(written):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "features.csv"
-        path.write_text(render_csv(FEATURE_CSV_COLUMNS, feature_rows(written), "# provenance"),
-                        encoding="utf-8")
+        write_csv(path, FEATURE_CSV_COLUMNS, feature_rows(written), "# provenance")
         table = read_feature_table(path)
     assert table.device_ids == written.device_ids
     assert table.window_kinds == written.window_kinds
@@ -301,7 +300,7 @@ def test_feature_csv_round_trip(written):
 
 def test_header_only_features_csv(tmp_path):
     path = tmp_path / "features.csv"
-    path.write_text(render_csv(FEATURE_CSV_COLUMNS, [], "# provenance"))
+    write_csv(path, FEATURE_CSV_COLUMNS, [], "# provenance")
     table = read_feature_table(path)
     assert table.device_ids == table.window_kinds == table.window_starts == ()
     assert table.quality_flags == ()

@@ -95,14 +95,17 @@ def test_cells_come_in_column_order(tmp_path):
     assert list(iter_csv_records(path, ("a", "b"), tuple)) == [("3", "2")]
 
 
-@pytest.mark.parametrize("text,match", [
-    ("a\n1\n", "missing columns: b"),
-    ("a,b\n1,2\n3\n", "data row 2: short row"),
-    ("a,b\n1,2\n\n3,x\n", "data row 2: could not convert"),
+@pytest.mark.parametrize("data,match", [
+    (b"a\n1\n", "missing columns: b"),
+    (b"a,b\n1,2\n3\n", "data row 2: short row"),
+    (b"a,b\n1,2\n\n3,x\n", "data row 2: could not convert"),
+    pytest.param(b"a,b\n1," + b"9" * 200_000 + b"\n",
+                 r"field larger than field limit \(131072\)", id="oversized cell"),
+    pytest.param(b"a,b\n1,\xff\n", "'utf-8' codec can't decode byte 0xff", id="not utf-8"),
 ])
-def test_errors_name_file_and_data_row(tmp_path, text, match):
+def test_errors_name_file_and_data_row(tmp_path, data, match):
     path = tmp_path / "t.csv"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(ValueError, match=match) as info:
         list(iter_csv_records(path, ("a", "b"), lambda cells: float(cells[1])))
     assert str(info.value).startswith(f"{path}: ")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivescore.features import FEATURE_NAMES, compute_feature_table
-from drivescore.fileio import iter_csv_records, render_csv
+from drivescore.fileio import iter_csv_records, write_csv
 from drivescore.ingest import POSITION, SPEED, parse_event_log, utc_datetime
 from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
@@ -190,7 +190,7 @@ class TestAggregateHourly:
 
 def _through_reversed_csv(path, columns, row, from_row):
     """Write one row under ``columns`` in reverse order, then read it back."""
-    path.write_text(render_csv(columns[::-1], [row[::-1]]))
+    write_csv(path, columns[::-1], [row[::-1]])
     return list(iter_csv_records(path, columns, from_row))
 
 
