@@ -63,8 +63,12 @@ def load_config(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise InputMissingError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -339,12 +343,12 @@ def _load_scoring_model(ns):
     if ns.target is not None:
         raise ConfigError(f"--target applies only to --model {REFERENCE_MODEL_TOKEN}")
     path = _require(ns.model, "model file")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    raw = path.read_bytes()
     try:
-        model = model_from_dict(payload)
+        model = model_from_dict(json.loads(raw.decode("utf-8")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return model, sha256_digest(path)
+    return model, hashlib.sha256(raw).hexdigest()
 
 
 def cmd_score(ns) -> int:

@@ -84,26 +84,19 @@ def split_indices(n: int, spec: SplitSpec,
     """Disjoint, exhaustive (train, test) index arrays, reproducible from seed."""
     if n < 10:
         raise ValueError("need at least 10 rows to split")
+    if spec.stratify and labels is None:
+        raise ValueError("stratified split needs labels")
     rng = np.random.default_rng(spec.seed)
-    if spec.stratify:
-        if labels is None:
-            raise ValueError("stratified split needs labels")
-        y = np.asarray(labels)
-        test_parts = []
-        for cls in np.unique(y):
-            idx = np.flatnonzero(y == cls)
-            perm = idx[rng.permutation(len(idx))]
-            k = int(round(spec.test_fraction * len(idx)))
-            k = min(k, len(idx) - 1)
-            test_parts.append(perm[:k])
-        test = np.sort(np.concatenate(test_parts))
-        if len(test) == 0:
-            raise ValueError("test partition empty; raise test_fraction")
-    else:
-        perm = rng.permutation(n)
-        k = int(round(spec.test_fraction * n))
-        k = min(max(k, 1), n - 1)
-        test = np.sort(perm[:k])
+    groups = ([np.flatnonzero(np.asarray(labels) == cls) for cls in np.unique(labels)]
+              if spec.stratify else [np.arange(n)])
+    least = 0 if spec.stratify else 1  # a class may give no test row, all rows give one
+    test_parts = []
+    for idx in groups:
+        k = min(max(int(round(spec.test_fraction * len(idx))), least), len(idx) - 1)
+        test_parts.append(idx[rng.permutation(len(idx))[:k]])
+    test = np.sort(np.concatenate(test_parts))
+    if len(test) == 0:
+        raise ValueError("test partition empty; raise test_fraction")
     mask = np.ones(n, dtype=bool)
     mask[test] = False
     return np.flatnonzero(mask), test

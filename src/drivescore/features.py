@@ -58,13 +58,16 @@ def load_holiday_calendar(path) -> frozenset[date]:
     """Read a holiday calendar file: one YYYY-MM-DD per line, # comments."""
     days = set()
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                try:
-                    days.add(date.fromisoformat(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        try:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    try:
+                        days.add(date.fromisoformat(line))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return frozenset(days)
 
 

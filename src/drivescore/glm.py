@@ -23,23 +23,21 @@ from .labeling import EstimationError
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 50
-SEPARATION_BETA_BOUND = 30.0  # on |beta_j| * column scale
+SEPARATION_BETA_BOUND = 30.0  # on raw |beta_j| of feature columns
 
 INTERCEPT_NAME = "const"
 
 
 class SeparationError(EstimationError):
     def __init__(self, columns: Sequence[str]):
-        self.columns = tuple(columns)
         super().__init__("complete or quasi-complete separation; diverging "
-                         f"coefficients on columns: {', '.join(self.columns)}")
+                         f"coefficients on columns: {', '.join(columns)}")
 
 
 class CollinearityError(EstimationError):
     def __init__(self, columns: Sequence[str]):
-        self.columns = tuple(columns)
         super().__init__("singular information matrix; linearly dependent "
-                         f"columns: {', '.join(self.columns)}")
+                         f"columns: {', '.join(columns)}")
 
 
 class SingleClassError(EstimationError):
@@ -51,8 +49,7 @@ class SingleClassError(EstimationError):
 
 class MissingFeatureError(KeyError):
     def __init__(self, names: Sequence[str]):
-        self.names = tuple(names)
-        super().__init__(f"missing features: {', '.join(self.names)}")
+        super().__init__(f"missing features: {', '.join(names)}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +168,11 @@ def _dependent_columns(X: np.ndarray, columns: Sequence[str]) -> list[str]:
     return bad
 
 
+def _diverging(columns: Sequence[str], beta: np.ndarray, bound: float) -> list[str]:
+    """Feature columns (never the intercept) whose |beta_j| exceeds bound."""
+    return [c for c, b in zip(columns, beta) if c != INTERCEPT_NAME and abs(b) > bound]
+
+
 def fit_logistic(design: DesignMatrix, target: str = "",
                  tol: float = DEFAULT_TOL) -> FittedModel:
     """Fit by Newton/IRLS with step-halving, at most ``MAX_ITER`` steps.
@@ -190,24 +192,21 @@ def fit_logistic(design: DesignMatrix, target: str = "",
         raise SingleClassError(target)
 
     scale = np.maximum(1.0, np.abs(X).max(axis=0))
-    is_feature = np.array([c != INTERCEPT_NAME for c in design.columns])
     beta = np.zeros(k)
     eta = X @ beta
     ll = _log_likelihood(eta, y)
     ll_path = [ll]
-    converged = False
-    n_iter = 0
 
-    for n_iter in range(1, MAX_ITER + 1):
+    # each pass tests the score once, after n_iter steps
+    for n_iter in range(MAX_ITER + 1):
         p = _sigmoid(eta)
         g = X.T @ (y - p)
-        if np.max(np.abs(g) / scale) <= tol:
-            converged = True
-            n_iter -= 1
+        converged = bool(np.max(np.abs(g) / scale) <= tol)
+        if converged or n_iter == MAX_ITER:
             break
-        over = (np.abs(beta) > SEPARATION_BETA_BOUND) & is_feature
-        if np.any(over):
-            raise SeparationError([design.columns[j] for j in np.flatnonzero(over)])
+        over = _diverging(design.columns, beta, SEPARATION_BETA_BOUND)
+        if over:
+            raise SeparationError(over)
         w = p * (1.0 - p)
         info = X.T @ (X * w[:, None])
         try:
@@ -216,9 +215,8 @@ def fit_logistic(design: DesignMatrix, target: str = "",
             if np.linalg.matrix_rank(X) < k:
                 raise CollinearityError(_dependent_columns(X, design.columns)) from None
             # full-rank X with vanishing weights: fit saturated, treat as separation
-            big = (np.abs(beta) > SEPARATION_BETA_BOUND / 2) & is_feature
-            raise SeparationError([design.columns[j] for j in np.flatnonzero(big)]
-                                  or list(design.columns)) from None
+            raise SeparationError(_diverging(design.columns, beta, SEPARATION_BETA_BOUND / 2)
+                                  or design.columns) from None
         delta = np.linalg.solve(info, g)
         step = 1.0
         while True:
@@ -230,48 +228,35 @@ def fit_logistic(design: DesignMatrix, target: str = "",
             step /= 2.0
         beta, eta, ll = cand, cand_eta, cand_ll
         ll_path.append(ll)
-    else:
-        p = _sigmoid(eta)
-        g = X.T @ (y - p)
-        converged = np.max(np.abs(g) / scale) <= tol
-        n_iter = MAX_ITER
 
     if not converged:
         grew = len(ll_path) >= 4 and all(b > a for a, b in zip(ll_path[-4:], ll_path[-3:]))
-        big = (np.abs(beta) > SEPARATION_BETA_BOUND / 2) & is_feature
-        if grew and np.any(big):
-            raise SeparationError([design.columns[j] for j in np.flatnonzero(big)])
+        big = _diverging(design.columns, beta, SEPARATION_BETA_BOUND / 2)
+        if grew and big:
+            raise SeparationError(big)
 
-    p = _sigmoid(eta)
-    w = p * (1.0 - p)
+    w = p * (1.0 - p)  # the loop's last pass took p from the final eta
     info = X.T @ (X * w[:, None])
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise CollinearityError(_dependent_columns(X, design.columns)) from None
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-
-    flagged = []
-    pvals = []
-    for j in range(k):
-        if not math.isfinite(se[j]) or se[j] == 0.0:
-            flagged.append(design.columns[j])
-            pvals.append(float("nan"))
-        else:
-            pvals.append(wald_pvalue(beta[j], se[j]))
+    usable = [math.isfinite(s) and s != 0.0 for s in se]
 
     return FittedModel(
         target=target,
         columns=design.columns,
         coef=tuple(float(b) for b in beta),
         se=tuple(float(s) for s in se),
-        p_values=tuple(pvals),
+        p_values=tuple(wald_pvalue(b, s) if ok else float("nan")
+                       for b, s, ok in zip(beta, se, usable)),
         log_likelihood=ll,
         aic=2.0 * k - 2.0 * ll,
         n_obs=n,
         converged=converged,
         n_iter=n_iter,
-        flagged=tuple(flagged),
+        flagged=tuple(c for c, ok in zip(design.columns, usable) if not ok),
     )
 
 

@@ -308,7 +308,8 @@ class TestScoreAndPremium:
                        "--out-dir", tmp_path) == 0
         assert rows_of(tmp_path / "scores.csv")
 
-    @pytest.mark.parametrize("shape", ["list", "coef list", "null coefficient"])
+    @pytest.mark.parametrize("shape", ["list", "coef list", "null coefficient",
+                                       "not JSON", "not UTF-8"])
     def test_malformed_model_file_exits_1_naming_it(self, small_pop, tmp_path, capsys, shape):
         payload = model_to_dict(FittedModel("any", ("intercept", "mileage"), (-1.0, 0.5),
                                             (0.1, 0.1), (0.01, 0.01), -10.0, 24.0, 20, True, 5))
@@ -316,10 +317,12 @@ class TestScoreAndPremium:
             payload = [payload]
         elif shape == "coef list":
             payload["coef"] = list(payload["coef"].values())
-        else:
+        elif shape == "null coefficient":
             payload["coef"]["mileage"] = None
+        text = {"not JSON": b"{\n", "not UTF-8": b'{"target": "any\xff"}\n'}.get(
+            shape, json.dumps(payload).encode())
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(text)
         assert run_cli("score", "--model", path, "--features", small_pop / "features.csv",
                        "--out-dir", tmp_path / "out") == 1
         err = capsys.readouterr().err  # the reason's wording varies with the Python version
@@ -528,14 +531,17 @@ class TestErrorPaths:
         (["parse", "--events", "{dir}"], "dir"),
         (["--config", "{dir}", "parse", "--events", "{file}"], "dir"),
         (["label", "--claims", "{claims}", "--out-dir", "{file}"], "file"),
+        (["--config", "{binary}", "label", "--claims", "{claims}"], "binary"),
     ])
     def test_unusable_path_exits_1(self, small_pop, tmp_path, capsys, args, culprit):
         """A path that is there but is a directory where a file goes, or the
-        reverse, gives one error line naming it, not a traceback."""
+        reverse, or a config file that is not UTF-8 text, gives one error line
+        naming it, not a traceback."""
         paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
-                 "claims": small_pop / "claims.csv"}
+                 "binary": tmp_path / "binary.cfg", "claims": small_pop / "claims.csv"}
         paths["dir"].mkdir()
         paths["file"].write_text("x\n")
+        paths["binary"].write_bytes(b"seed = 1\xff\n")
         assert run_cli(*[a.format(**paths) for a in args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

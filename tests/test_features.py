@@ -206,6 +206,22 @@ class TestHolidayCalendar:
         assert capsys.readouterr().err == f"error: {want}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_text_not_utf8_names_file(self, tmp_path, capsys):
+        cal = tmp_path / "cal.txt"
+        cal.write_bytes(b"2021-06-14\n2021-11-04\xff\n")
+        want = f"{cal}: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"
+        with pytest.raises(ValueError) as exc:
+            load_holiday_calendar(cal)
+        assert str(exc.value) == want
+        (tmp_path / "hourly.csv").touch()
+        (tmp_path / "trips.csv").touch()
+        capsys.readouterr()
+        assert run_cli("features", "--hourly", tmp_path / "hourly.csv",
+                       "--trips", tmp_path / "trips.csv", "--holidays", cal,
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def test_feature_row_round_trip(tmp_path):
     hourly = [rec(MON.replace(hour=10), 30.0, 40.0, 80.0,

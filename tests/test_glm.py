@@ -1,11 +1,12 @@
 """Logistic regression internals: IRLS, Wald inference, selection; and the
 premium arithmetic, which lives in ``labeling`` so ``premium`` runs without numpy."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from drivescore.glm import (CollinearityError, DesignMatrix, FittedModel,
+from drivescore.glm import (MAX_ITER, CollinearityError, DesignMatrix, FittedModel,
                             MissingFeatureError, SeparationError,
                             SingleClassError, backward_eliminate,
                             fit_logistic, mcfadden_r2, model_from_dict,
@@ -58,6 +59,17 @@ class TestFitLogistic:
         X = [[0.1], [0.2], [0.3]]
         with pytest.raises(SingleClassError):
             fit_logistic(design(X, [1, 1, 1]))
+
+    def test_fit_that_uses_up_its_steps_still_serialises(self):
+        """A zero tolerance is never met, so every step is taken; the model
+        says so and still writes as JSON."""
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 2))
+        y = (rng.random(200) < 1 / (1 + np.exp(-X[:, 0]))).astype(int)
+        m = fit_logistic(design(X, y), tol=0.0)
+        payload = json.loads(json.dumps(model_to_dict(m)))
+        assert payload["converged"] is False and payload["n_iter"] == MAX_ITER
+        assert m.converged is False and m.n_iter == MAX_ITER
 
     def test_reported_loglik_matches_formula(self):
         rng = np.random.default_rng(11)
