@@ -43,6 +43,17 @@ FEATURES_DIGESTS = {
         "79430cd95a0fa8f10ead28856a3a6eecf829d9a7f194bc8200ed9c76d11c527d",
 }
 
+# the golden week's hourly.csv and trips.csv under each zone, taken before
+# hourly records became their own CSV rows; trips are written in UTC
+GOLDEN_WEEK_TRIPS = "4003607df8cc36fa5eb882d9d8e713e33d94f7a53b982ac90bd46e202f7f3202"
+AGGREGATE_DIGESTS = {
+    "UTC": "7bea129a739f359a5aa1a0052742e48ec19fea51863c8cfba2e3226175b40c70",
+    "Europe/Berlin": "09994cb33ada69f7c8f294ee50521def552b644443b145c21dc701ecbea72878",
+    "America/New_York": "3a4a4c837e274fb8bda67a72e84614d78bb4f86f1fac0c1fec718a9ed5c485eb",
+    "Asia/Kolkata": "b944deaff3436a0638603e3ba112ffe1468b115f806ecbc7effa48d538d63ca7",
+    "Australia/Lord_Howe": "18cfc8617dfcf6d019699e9c4b3087d114d2b197d0d69ac41cb8058f9877200a",
+}
+
 # synth --n 300 --weeks 8 --seed 4
 SYNTH_DIGESTS = {
     "features.csv": "37dfdb970e6ffcb25f8d4582b6b81efe3904cdf67062ccbc44af5d6988d6703a",
@@ -102,6 +113,8 @@ def _features(float_sum, events, window, tz, out) -> str:
     for window, tz in sorted(FEATURES_DIGESTS)])
 def test_golden_week_features_bytes(tmp_path, window, tz, float_sum):
     assert _features(float_sum, GOLDEN_WEEK, window, tz, tmp_path) == FEATURES_DIGESTS[window, tz]
+    assert (_sha256(tmp_path / "hourly.csv"), _sha256(tmp_path / "trips.csv")) == \
+        (AGGREGATE_DIGESTS[tz], GOLDEN_WEEK_TRIPS)
 
 
 @pytest.mark.parametrize("float_sum", SUMS)
