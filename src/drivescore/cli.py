@@ -182,7 +182,7 @@ def cmd_parse(ns, grouped: bool = True) -> int:
 
 def cmd_aggregate(ns, grouped: bool = True) -> int:
     from .trips import (DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS,
-                        TRIP_CSV_COLUMNS, hourly_to_row, roll_up, trip_to_row)
+                        TRIP_CSV_COLUMNS, roll_up, trip_to_row)
 
     events_path = _require(ns.events, "events file")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
@@ -197,7 +197,7 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
         def each(log):
             nonlocal n_hourly, n_trips
             trips, hourly = roll_up(log, gap, tz)
-            write_hourly(map(hourly_to_row, hourly))
+            write_hourly(hourly)
             write_trips(map(trip_to_row, trips))
             if not trips:
                 tripless.append(log.device_id)
@@ -363,8 +363,7 @@ def cmd_score(ns) -> int:
     # one matrix-vector product; an intercept-only model gives one shared value
     probs = np.broadcast_to(predict_proba(model, dict(zip(FEATURE_NAMES, table.values.T))),
                             (len(table.device_ids),))
-    rows = [[dev, kind, start.isoformat(), p] for dev, kind, start, p in
-            zip(table.device_ids, table.window_kinds, table.window_starts, probs.tolist())]
+    rows = list(zip(table.device_ids, table.window_kinds, table.window_starts, probs.tolist()))
     prov = provenance_line(None, {"features": sha256_digest(features_path),
                                   "model": model_digest})
     write_csv(ns.out_dir / "scores.csv",

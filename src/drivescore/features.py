@@ -254,7 +254,7 @@ def feature_rows(table: FeatureTable) -> Iterator[list]:
     for device, kind, start, flags, values in zip(
             table.device_ids, table.window_kinds, table.window_starts,
             table.quality_flags, table.values.tolist()):
-        yield [device, kind, start.isoformat(), ";".join(flags), *values]
+        yield [device, kind, start, ";".join(flags), *values]
 
 
 def read_feature_table(path) -> FeatureTable:

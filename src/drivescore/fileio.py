@@ -5,6 +5,7 @@ import csv
 import hashlib
 import os
 from contextlib import contextmanager, suppress
+from datetime import datetime
 from itertools import dropwhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -80,12 +81,14 @@ def fmt_float(x: float) -> str:
 def csv_row_writer(f: TextIO, header: Sequence[str], provenance: str | None = None
                    ) -> Callable[[Iterable[Sequence[object]]], None]:
     """Write the provenance line and header to ``f``; return a function that
-    writes rows after them, floats in ``fmt_float`` form."""
+    writes rows after them, floats in ``fmt_float`` form and datetimes in
+    ``isoformat`` form."""
     f.write(f"{provenance}\n" if provenance else "")
     w = csv.writer(f, lineterminator="\n")
     w.writerow(header)
-    return lambda rows: w.writerows([fmt_float(v) if isinstance(v, float) else v for v in row]
-                                    for row in rows)
+    return lambda rows: w.writerows(
+        [fmt_float(v) if isinstance(v, float) else
+         v.isoformat() if isinstance(v, datetime) else v for v in row] for row in rows)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]],

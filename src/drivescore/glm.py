@@ -211,13 +211,13 @@ def fit_logistic(design: DesignMatrix, target: str = "",
         info = X.T @ (X * w[:, None])
         try:
             np.linalg.cholesky(info)
+            delta = np.linalg.solve(info, g)
         except np.linalg.LinAlgError:
             if np.linalg.matrix_rank(X) < k:
                 raise CollinearityError(_dependent_columns(X, design.columns)) from None
             # full-rank X with vanishing weights: fit saturated, treat as separation
             raise SeparationError(_diverging(design.columns, beta, SEPARATION_BETA_BOUND / 2)
                                   or design.columns) from None
-        delta = np.linalg.solve(info, g)
         step = 1.0
         while True:
             cand = beta + step * delta

@@ -68,14 +68,14 @@ class HourlyRecord(NamedTuple):
     ``hour_start`` is the local start of the hour, with the UTC offset in
     effect during it; with the default UTC configuration it is a UTC instant
     truncated to the hour.  ``mileage_km`` equals the sum of the speed-band
-    mileage fields exactly.
+    mileage fields exactly.  The fields are the cells of an ``hourly.csv``
+    row, in ``HOURLY_CSV_COLUMNS`` order.
     """
 
     device_id: str
     hour_start: datetime
     mileage_km: float
     mean_speed_kph: float
-    max_speed_kph: float
     a1_n: int
     a2_n: int
     a3_n: int
@@ -90,13 +90,13 @@ class HourlyRecord(NamedTuple):
     m_60_100: float
     m_100_130: float
     m_gt130: float
-
-    def band_mileage(self) -> tuple[float, ...]:
-        return (self.m_lt20, self.m_20_60, self.m_60_100, self.m_100_130, self.m_gt130)
+    max_speed_kph: float
 
     def accel_counts(self) -> tuple[int, ...]:
-        return (self.a1_n, self.a2_n, self.a3_n, self.d1_n, self.d2_n,
-                self.d3_n, self.s1_n, self.s2_n, self.s3_n)
+        return self[4:13]
+
+    def band_mileage(self) -> tuple[float, ...]:
+        return self[13:18]
 
 
 def _legs(log: DeviceLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,21 +224,9 @@ class _LocalHours:
         s = self.hours * 3600
         first, then = s + -self.before % 3600, s + -self.after % 3600
         changed = self.before != self.after
-        return _unique(np.concatenate([
+        return np.unique(np.concatenate([
             first[first < self.change], self.change[changed],
-            then[changed & (then >= self.change) & (then < s + 3600)]]))[0]
-
-
-def _unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``a`` in order and where each first occurs.  Two of the
-    three callers want only the values, but values-only np.unique imports numpy.ma
-    (10-15 ms on numpy 2.4); np.unique(a, return_index=True) imports nothing more
-    and is no faster on 3,000 ints (170 against 159 us)."""
-    order = np.argsort(a, kind="stable")
-    a = a[order]
-    first = np.ones(len(a), bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first], order[first]
+            then[changed & (then >= self.change) & (then < s + 3600)]]), return_index=True)[0]
 
 
 def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +268,10 @@ def _hourly(log: DeviceLog, legs, counted: np.ndarray, tz: tzinfo) -> list[Hourl
 
     h0 = t0 // 3600
     leg, step = _runs(np.maximum(t1 - 1, t0) // 3600 - h0 + 1)
-    hours = _LocalHours(tz, _unique(np.concatenate(
-        [h0[leg] + step, acc_t // 3600, spd_t // 3600]))[0])
+    # np.unique with return_index sorts stably and leaves numpy.ma, which the
+    # values-only form imports (10-15 ms on numpy 2.4), unloaded
+    hours = _LocalHours(tz, np.unique(np.concatenate(
+        [h0[leg] + step, acc_t // 3600, spd_t // 3600]), return_index=True)[0])
 
     # Each leg's pieces between the hour boundaries inside it, in leg order.
     bounds = hours.boundaries()
@@ -296,7 +286,7 @@ def _hourly(log: DeviceLog, legs, counted: np.ndarray, tz: tzinfo) -> list[Hourl
     p_speed = speed[leg]
 
     (p_key, p_off), (acc_key, acc_off) = hours.key(p_start), hours.key(acc_t)
-    keys, first = _unique(np.concatenate([p_key, acc_key]))
+    keys, first = np.unique(np.concatenate([p_key, acc_key]), return_index=True)
     offsets = np.concatenate([p_off, acc_off])[first]
     n = len(keys)
     rec, acc_rec = np.searchsorted(keys, p_key), np.searchsorted(keys, acc_key)
@@ -318,29 +308,21 @@ def _hourly(log: DeviceLog, legs, counted: np.ndarray, tz: tzinfo) -> list[Hourl
 
     zones = {off: timezone(timedelta(seconds=off)) for off in set(offsets.tolist())}
     return [HourlyRecord(log.device_id, datetime.fromtimestamp(key, zones[off]),
-                         m, mean, top, *c, *b)
+                         m, mean, *c, *b, top)
             for key, off, m, mean, top, c, b in zip(
                 keys.tolist(), offsets.tolist(), mileage.tolist(), mean_speed.tolist(),
                 max_speed.tolist(), counts.tolist(), band_km.tolist())]
 
 
-def hourly_to_row(rec: HourlyRecord) -> list:
-    return [rec.device_id, rec.hour_start.isoformat(), rec.mileage_km,
-            rec.mean_speed_kph, *rec.accel_counts(), *rec.band_mileage(),
-            rec.max_speed_kph]
-
-
 def hourly_from_row(cells: Sequence[str]) -> HourlyRecord:
     """The record of one row's cells in ``HOURLY_CSV_COLUMNS`` order."""
-    bands = 4 + len(ACCEL_BAND_NAMES)  # where the speed-band mileage starts
     return HourlyRecord(cells[0], datetime.fromisoformat(cells[1]), float(cells[2]),
-                        float(cells[3]), float(cells[-1]), *map(int, cells[4:bands]),
-                        *map(float, cells[bands:-1]))
+                        float(cells[3]), *map(int, cells[4:13]), *map(float, cells[13:]))
 
 
 def trip_to_row(trip: Trip) -> list:
-    return [trip.device_id, trip.start.isoformat(), trip.end.isoformat(),
-            trip.mileage_km, trip.duration_s, trip.mean_speed_kph]
+    return [trip.device_id, trip.start, trip.end, trip.mileage_km, trip.duration_s,
+            trip.mean_speed_kph]
 
 
 def trip_from_row(cells: Sequence[str]) -> Trip:

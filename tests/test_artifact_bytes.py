@@ -43,8 +43,8 @@ FEATURES_DIGESTS = {
         "79430cd95a0fa8f10ead28856a3a6eecf829d9a7f194bc8200ed9c76d11c527d",
 }
 
-# the golden week's hourly.csv and trips.csv under each zone, taken before
-# hourly records became their own CSV rows; trips are written in UTC
+# the golden week's hourly.csv under each zone, and its trips.csv, which is
+# written in UTC under every zone
 GOLDEN_WEEK_TRIPS = "4003607df8cc36fa5eb882d9d8e713e33d94f7a53b982ac90bd46e202f7f3202"
 AGGREGATE_DIGESTS = {
     "UTC": "7bea129a739f359a5aa1a0052742e48ec19fea51863c8cfba2e3226175b40c70",

@@ -26,7 +26,7 @@ def rec(ts, km, mean_sp, max_sp, bands=None, counts=(0,) * 9, device="d1"):
     """HourlyRecord with all mileage in one band unless bands given."""
     if bands is None:
         bands = (0.0, km, 0.0, 0.0, 0.0)
-    return HourlyRecord(device, ts, km, mean_sp, max_sp, *counts, *bands)
+    return HourlyRecord(device, ts, km, mean_sp, *counts, *bands, max_sp)
 
 
 def trip(start, km, minutes, device="d1"):
@@ -350,8 +350,8 @@ def activity(draw):
         max_sp = mean_sp + draw(st.floats(min_value=0.0, max_value=100.0))
         counts = tuple(draw(st.integers(min_value=0, max_value=20))
                        for _ in range(9))
-        hourly.append(HourlyRecord("d1", ts, sum(bands), mean_sp, max_sp,
-                                   *counts, *bands))
+        hourly.append(HourlyRecord("d1", ts, sum(bands), mean_sp,
+                                   *counts, *bands, max_sp))
     trips = [trip(MON + timedelta(days=draw(_days), hours=draw(_hours)),
                   draw(st.floats(min_value=0.1, max_value=600.0)),
                   draw(st.integers(min_value=2, max_value=300)))

@@ -73,5 +73,6 @@ def test_command_imports_only_what_it_calls(inputs, tmp_path, command):
     modules = imported_modules(args, tmp_path)
     assert "drivescore.cli" in modules
     assert ("numpy" in modules) is (command not in NUMPY_FREE)
+    assert "numpy.ma" not in modules  # 10-15 ms to import, and nothing calls it
     assert ("drivescore.synthgen" in modules) is (command == "synth")
     assert ("drivescore.trips" in modules) is (command in {"synth", "aggregate", "features"})

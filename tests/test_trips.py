@@ -15,7 +15,7 @@ from drivescore.synthgen import SynthConfig, generate_population, iter_event_log
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
                               HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS,
                               HourlyRecord, Trip, haversine_km, hourly_from_row,
-                              hourly_to_row, roll_up, trip_from_row, trip_to_row)
+                              roll_up, trip_from_row, trip_to_row)
 from conftest import jsonl, parse_objs
 
 UTC = timezone.utc
@@ -201,11 +201,11 @@ def test_trip_row_round_trip(tmp_path):
 
 
 def test_hourly_row_round_trip(tmp_path):
-    rec = HourlyRecord("d9", T0, 12.5, 48.0, 92.0,
+    rec = HourlyRecord("d9", T0, 12.5, 48.0,
                        1, 0, 0, 2, 0, 0, 0, 1, 0,
-                       1.5, 8.0, 3.0, 0.0, 0.0)
+                       1.5, 8.0, 3.0, 0.0, 0.0, 92.0)
     assert _through_reversed_csv(tmp_path / "hourly.csv", HOURLY_CSV_COLUMNS,
-                                 hourly_to_row(rec), hourly_from_row) == [rec]
+                                 rec, hourly_from_row) == [rec]
 
 
 @settings(deadline=None, max_examples=30)
