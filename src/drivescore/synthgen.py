@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping
 
@@ -158,9 +159,13 @@ class SynthResult:
     outcomes: dict[str, list[int]]  # target -> 0/1 per driver, profile order
 
     def truth(self) -> dict:
-        digest = hashlib.sha256()  # fed a profile at a time: the joined text is never held
-        for i, p in enumerate(self.profiles):
-            digest.update((("\n" if i else "") + repr(p)).encode())
+        """The planted set-up; ``profiles_digest`` hashes each profile's device id (UTF-8, NUL),
+        then its other fields in order as little-endian float64s, tuples flattened."""
+        digest, names = hashlib.sha256(), [f.name for f in fields(DriverProfile)][1:]
+        for p in self.profiles:
+            cells = [getattr(p, name) for name in names]
+            flat = [x for c in cells for x in (c if isinstance(c, tuple) else (c,))]
+            digest.update(p.device_id.encode() + b"\0" + struct.pack(f"<{len(flat)}d", *flat))
         return {
             "seed": self.config.seed,
             "n_drivers": self.config.n_drivers,
@@ -171,55 +176,56 @@ class SynthResult:
         }
 
 
-def _driver_seeds(seed: int, n: int) -> Iterator[list[np.random.SeedSequence]]:
-    """Each driver's ``[core, events]`` seeds: profile and claims, then event log."""
-    for child in np.random.SeedSequence(seed).spawn(n):
-        yield child.spawn(2)
+def _driver_seed(seed: int, i: int, stream: int) -> np.random.SeedSequence:
+    """``SeedSequence(seed).spawn(n)[i].spawn(2)[stream]`` without the spawn tree: stream 0
+    draws driver ``i``'s profile, then its claims; stream 1 draws its event log."""
+    return np.random.SeedSequence(seed, spawn_key=(i, stream))
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` to the bit and stream position, minus numpy's argument handling."""
+    return lo + (hi - lo) * rng.random()
 
 
 def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     """Draw one driver's latent style from the population distribution."""
-    p_b = rng.uniform(0.55, 0.95)
-    p_h = rng.uniform(0.35, 0.95)
-    lam = rng.uniform(2.5, 7.5)
-    f_h = max(rng.uniform(0.65, 1.50), 1.02 / lam)
+    p_b = _uniform(rng, 0.55, 0.95)
+    p_h = _uniform(rng, 0.35, 0.95)
+    lam = _uniform(rng, 2.5, 7.5)
+    f_h = max(_uniform(rng, 0.65, 1.50), 1.02 / lam)
     # shared distance-taste latent: drivers who make longer trips also spend
     # more of their mileage at highway speeds (tilts the band weights below)
     taste = rng.normal()
-    mu = rng.uniform(1.2, 2.1) + 0.15 * taste
-    sigma = rng.uniform(0.95, 1.60)
+    mu = _uniform(rng, 1.2, 2.1) + 0.15 * taste
+    sigma = _uniform(rng, 0.95, 1.60)
     # separate long-haul component: the lognormal tail alone cannot reach the
     # observed over_200 share, and it would leave the over_400 share so thin
     # across drivers that its column degenerates in the fit
-    q_long = rng.uniform(0.0, 0.035)
-    hi_long = rng.uniform(240.0, 640.0)
+    q_long = _uniform(rng, 0.0, 0.035)
+    hi_long = _uniform(rng, 240.0, 640.0)
 
     # slice maxima get wide independent ratio jitter; a tight coupling to the
     # overall peak would make the four max-speed columns near-collinear and
     # sink their partial z-scores in the full design
-    peak = rng.uniform(115.0, 175.0)
-    peak_mj = peak * rng.uniform(0.66, 0.99)
-    peak_ej = peak * rng.uniform(0.58, 0.95)
-    peak_n = peak * rng.uniform(0.58, 1.00)
+    peak = _uniform(rng, 115.0, 175.0)
+    peak_mj = peak * _uniform(rng, 0.66, 0.99)
+    peak_ej = peak * _uniform(rng, 0.58, 0.95)
+    peak_n = peak * _uniform(rng, 0.58, 1.00)
 
-    v_slow = rng.uniform(8.0, 18.0)
-    v_mid = rng.uniform(28.0, 55.0)
-    v_hwy = rng.uniform(62.0, 95.0)
-    w = [rng.uniform(0.08, 0.25) * math.exp(-0.35 * taste),
-         rng.uniform(0.30, 0.55),
-         rng.uniform(0.20, 0.40) * math.exp(0.55 * taste)]
+    v_slow = _uniform(rng, 8.0, 18.0)
+    v_mid = _uniform(rng, 28.0, 55.0)
+    v_hwy = _uniform(rng, 62.0, 95.0)
+    w = [_uniform(rng, 0.08, 0.25) * math.exp(-0.35 * taste),
+         _uniform(rng, 0.30, 0.55),
+         _uniform(rng, 0.20, 0.40) * math.exp(0.55 * taste)]
     speeds = [v_slow, v_mid, v_hwy]
-    if peak > 106.0:
-        # cap below 126 so one-second timestamp truncation cannot push a
-        # reconstructed leg speed across the 130 kph band edge
-        speeds.append(rng.uniform(102.0, min(126.0, peak - 2.0)))
-        w.append(rng.uniform(0.02, 0.20))
-    else:
-        speeds.append(110.0)
-        w.append(0.0)
+    # peak >= 115, so every driver has the fourth band; cap below 126 so one-second timestamp
+    # truncation cannot push a reconstructed leg speed across the 130 kph band edge
+    speeds.append(_uniform(rng, 102.0, min(126.0, peak - 2.0)))
+    w.append(_uniform(rng, 0.02, 0.20))
     if peak > 136.0:
-        speeds.append(rng.uniform(131.0, min(165.0, peak - 1.0)))
-        w.append(rng.uniform(0.005, 0.05))
+        speeds.append(_uniform(rng, 131.0, min(165.0, peak - 1.0)))
+        w.append(_uniform(rng, 0.005, 0.05))
     else:
         speeds.append(140.0)
         w.append(0.0)
@@ -231,9 +237,9 @@ def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     # per-hour jitter keeps the slice mileages from collapsing onto a
     # three-parameter family (exact collinearity in the feature matrix)
     hw = _BASE_HOUR_WEIGHTS * np.exp(rng.normal(0.0, 0.30, size=24))
-    hw[list(NIGHT_HOURS)] *= rng.uniform(0.50, 2.80)
-    hw[list(MORNING_JAM_HOURS)] *= rng.uniform(0.50, 2.00)
-    hw[list(EVENING_JAM_HOURS)] *= rng.uniform(0.50, 2.00)
+    hw[list(NIGHT_HOURS)] *= _uniform(rng, 0.50, 2.80)
+    hw[list(MORNING_JAM_HOURS)] *= _uniform(rng, 0.50, 2.00)
+    hw[list(EVENING_JAM_HOURS)] *= _uniform(rng, 0.50, 2.00)
     hw /= hw.sum()
 
     # mild shared aggression plus dominant per-band jitter: siblings stay
@@ -243,15 +249,15 @@ def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     aggr_side = math.sqrt(aggr) * math.exp(rng.normal(0.0, 0.25))
     pedal = math.exp(rng.normal(0.0, 0.32))
     jit = np.exp(rng.normal(0.0, 0.45, size=9))
-    rates = (aggr * pedal * jit[0] * rng.uniform(10.0, 19.0),   # a1
-             aggr * pedal * jit[1] * rng.uniform(1.2, 4.5),     # a2
-             aggr * jit[2] * rng.uniform(0.4, 2.2),     # a3
-             aggr * jit[3] * rng.uniform(3.0, 9.0),     # d1
-             aggr * jit[4] * rng.uniform(0.4, 2.0),     # d2
-             aggr * jit[5] * rng.uniform(0.3, 3.0),     # d3
-             aggr_side * jit[6] * rng.uniform(3.5, 8.5),    # s1
-             aggr_side * jit[7] * rng.uniform(0.3, 1.4),    # s2
-             aggr_side * jit[8] * rng.uniform(0.5, 2.0))    # s3
+    rates = (aggr * pedal * jit[0] * _uniform(rng, 10.0, 19.0),   # a1
+             aggr * pedal * jit[1] * _uniform(rng, 1.2, 4.5),     # a2
+             aggr * jit[2] * _uniform(rng, 0.4, 2.2),     # a3
+             aggr * jit[3] * _uniform(rng, 3.0, 9.0),     # d1
+             aggr * jit[4] * _uniform(rng, 0.4, 2.0),     # d2
+             aggr * jit[5] * _uniform(rng, 0.3, 3.0),     # d3
+             aggr_side * jit[6] * _uniform(rng, 3.5, 8.5),    # s1
+             aggr_side * jit[7] * _uniform(rng, 0.3, 1.4),    # s2
+             aggr_side * jit[8] * _uniform(rng, 0.5, 2.0))    # s3
 
     return DriverProfile(
         device_id=device_id,
@@ -274,10 +280,6 @@ def sample_profile(device_id: str, rng: np.random.Generator) -> DriverProfile:
     )
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     """Expected model feature values implied by a profile, in closed form.
 
@@ -290,11 +292,9 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     mean_len = (1.0 - q_long) * math.exp(p.trip_log_mu + 0.5 * p.trip_log_sigma ** 2)
     mean_len += q_long * 0.5 * (LONG_TRIP_LO + p.long_trip_hi)
     lam_b, lam_h = p.trips_per_active_day, p.trips_per_active_day * p.holiday_factor
-    trips_b = 5.0 * weeks * p.active_prob_business * lam_b
-    trips_h = 2.0 * weeks * p.active_prob_holiday * lam_h
-    n_trips = trips_b + trips_h
     covered_b = 5.0 * weeks * p.active_prob_business
     covered_h = 2.0 * weeks * p.active_prob_holiday
+    n_trips = covered_b * lam_b + covered_h * lam_h
     covered = covered_b + covered_h
     mileage = n_trips * mean_len
 
@@ -305,7 +305,7 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     share_night = sum(hw[h] for h in NIGHT_HOURS)
 
     def trip_len_cdf(km: float) -> float:
-        base = _norm_cdf((math.log(km) - p.trip_log_mu) / p.trip_log_sigma)
+        base = 0.5 * math.erfc((p.trip_log_mu - math.log(km)) / p.trip_log_sigma / math.sqrt(2.0))
         if km <= LONG_TRIP_LO:
             u = 0.0
         elif km >= p.long_trip_hi:
@@ -394,12 +394,12 @@ def draw_claims(dev: str, probabilities: Mapping[str, float],
         outcomes[target] = hit
         if hit:
             lo, hi = RATIO_RANGES[target]
-            ratio = rng.uniform(lo, hi)
+            ratio = _uniform(rng, lo, hi)
             ins = _insured_sum(rng)
             claims.append(ClaimRecord(dev, ratio * ins, ins, True))
     if rng.random() < NONCULPRIT_CLAIM_RATE:
         ins = _insured_sum(rng)
-        claims.append(ClaimRecord(dev, rng.uniform(0.01, 0.40) * ins, ins, False))
+        claims.append(ClaimRecord(dev, _uniform(rng, 0.01, 0.40) * ins, ins, False))
     if rng.random() < ZERO_LOSS_CLAIM_RATE:
         claims.append(ClaimRecord(dev, 0.0, _insured_sum(rng), True))
     outcomes["any"] = int(any(outcomes[t] for t in ("weak", "medium", "strong")))
@@ -414,7 +414,7 @@ def generate_population(config: SynthConfig) -> SynthResult:
     per-driver substreams so logs never disturb outcome draws.
     """
     n, width = config.n_drivers, max(5, len(str(config.n_drivers - 1)))
-    core_rngs = [np.random.default_rng(core) for core, _ in _driver_seeds(config.seed, n)]
+    core_rngs = [np.random.default_rng(_driver_seed(config.seed, i, 0)) for i in range(n)]
     profiles = [sample_profile(f"d{i:0{width}d}", rng) for i, rng in enumerate(core_rngs)]
     features = FeatureTable(tuple(p.device_id for p in profiles), ("lifetime",) * n,
                             (SYNTH_EPOCH,) * n, ((),) * n,
@@ -453,7 +453,7 @@ def generate_event_log(profile: DriverProfile, weeks: int,
     the same event in the same second make one event, as parse would keep.
     """
     log = DeviceLogBuilder(profile.device_id)
-    lon = float(rng.uniform(-30.0, 30.0))
+    lon = _uniform(rng, -30.0, 30.0)
     hour_p = np.asarray(profile.hour_weights)
 
     def emit(ts: datetime, kind: int, **kw):
@@ -470,13 +470,13 @@ def generate_event_log(profile: DriverProfile, weeks: int,
         n_trips = 1 + int(rng.poisson(lam - 1.0))
         trip_hours = sorted(int(h) for h in rng.choice(24, size=n_trips, p=hour_p))
         for h in trip_hours:
-            trip_start = day + timedelta(hours=int(h), minutes=float(rng.uniform(0.0, 25.0)))
+            trip_start = day + timedelta(hours=int(h), minutes=_uniform(rng, 0.0, 25.0))
             if prev_end is not None and trip_start <= prev_end + timedelta(minutes=5):
                 trip_start = prev_end + timedelta(minutes=5)
             if trip_start.date() != day.date():
                 continue  # pushed past midnight, drop
             if rng.random() < profile.long_trip_prob:
-                length = float(rng.uniform(LONG_TRIP_LO, profile.long_trip_hi))
+                length = _uniform(rng, LONG_TRIP_LO, profile.long_trip_hi)
             else:
                 length = min(float(rng.lognormal(profile.trip_log_mu,
                                                  profile.trip_log_sigma)), 1500.0)
@@ -506,8 +506,8 @@ def generate_event_log(profile: DriverProfile, weeks: int,
             duration_s = (trip_end - trip_start).total_seconds()
             for band, rate in zip(ACCEL_BAND_NAMES, profile.accel_rates):
                 for _ in range(rng.poisson(rate * length / 100.0)):
-                    g = float(rng.uniform(*G_RANGES[band]))
-                    offset = float(rng.uniform(1.0, max(2.0, duration_s - 1.0)))
+                    g = _uniform(rng, *G_RANGES[band])
+                    offset = _uniform(rng, 1.0, max(2.0, duration_s - 1.0))
                     ts = trip_start + timedelta(seconds=offset)
                     if band.startswith("s"):  # lateral, to either side
                         axis, sign = LATERAL, 1.0 if rng.random() < 0.5 else -1.0
@@ -516,7 +516,7 @@ def generate_event_log(profile: DriverProfile, weeks: int,
                     emit(ts, ACCELERATION, axis=axis, accel_g=round(sign * g, 4))
             if rng.random() < 0.10:
                 burst = _slice_peak(profile, h)
-                ts = trip_start + timedelta(seconds=float(rng.uniform(1.0, max(2.0, duration_s - 1.0))))
+                ts = trip_start + timedelta(seconds=_uniform(rng, 1.0, max(2.0, duration_s - 1.0)))
                 emit(ts, SPEED, speed_kph=round(burst, 3))
             emit(trip_end + timedelta(seconds=30), IGNITION_OFF)
             prev_end = trip_end + timedelta(seconds=30)
@@ -529,6 +529,6 @@ def generate_event_log(profile: DriverProfile, weeks: int,
 
 def iter_event_logs(result: SynthResult, limit: int | None = None) -> Iterator[DeviceLog]:
     """Event logs for the first ``limit`` drivers (all if None), reproducibly."""
-    seeds = _driver_seeds(result.config.seed, result.config.n_drivers)
-    for profile, (_, events) in zip(result.profiles[:limit], seeds):
-        yield generate_event_log(profile, result.config.weeks, np.random.default_rng(events))
+    for i, profile in enumerate(result.profiles[:limit]):
+        rng = np.random.default_rng(_driver_seed(result.config.seed, i, 1))
+        yield generate_event_log(profile, result.config.weeks, rng)

@@ -58,7 +58,7 @@ AGGREGATE_DIGESTS = {
 SYNTH_DIGESTS = {
     "features.csv": "37dfdb970e6ffcb25f8d4582b6b81efe3904cdf67062ccbc44af5d6988d6703a",
     "claims.csv": "97e9e8761768bc2c74d2d7a4c03c38ce2d28de5dfba29423f8865745b35e13fa",
-    "truth.json": "75510a0441fbda5bc04ffe27a311e77d6928b8ace0d22a2bdc767117d2e5194d",
+    "truth.json": "9a8b90e9b708d6c0be6ec45c2ff30620e6039f80313c640477cc9866a2675071",
 }
 
 # synth --n 5 --weeks 2 --seed 3 --logs: 11,515 events from five devices

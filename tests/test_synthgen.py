@@ -1,7 +1,10 @@
 """Synthetic population generator: determinism, planted truth, closed loop."""
+import ast
+import hashlib
+import inspect
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import timezone
 
 import numpy as np
@@ -11,9 +14,11 @@ from drivescore.bands import ACCEL_BAND_NAMES, accel_bands, speed_bands
 from drivescore.features import FEATURE_NAMES, compute_feature_table
 from drivescore.ingest import iter_log_lines
 from drivescore.labeling import ClaimRecord, build_targets, classify_severity
+from drivescore import synthgen
 from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, G_RANGES, LONG_TRIP_LO,
                                  RATIO_RANGES, SYNTH_EPOCH, DriverProfile,
                                  SynthConfig, SynthResult, _BASE_HOUR_WEIGHTS,
+                                 _driver_seed, _uniform,
                                  generate_event_log, generate_population,
                                  iter_event_logs, oracle_features,
                                  planted_probabilities, sample_profile)
@@ -58,6 +63,38 @@ class TestDeterminism:
         assert len(made) == 10
         list(iter_event_logs(res, limit=3))
         assert len(made) == 13
+
+    @pytest.mark.parametrize("seed", [0, 4, 42, 2**70 + 9])
+    def test_driver_seed_is_the_spawn_tree(self, seed):
+        n = 9
+        tree = np.random.SeedSequence(seed).spawn(n)
+        for i in (0, 1, n - 1):
+            for stream, child in enumerate(tree[i].spawn(2)):
+                assert _driver_seed(seed, i, stream).generate_state(4).tolist() == \
+                    child.generate_state(4).tolist()
+
+    def test_uniform_draws_what_generator_uniform_draws(self):
+        """Same values, same stream position, on every literal range the module
+        draws from (found in its source) and on the data-dependent ones."""
+        literal = []
+        for node in ast.walk(ast.parse(inspect.getsource(synthgen))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_uniform":
+                try:
+                    literal.append(tuple(ast.literal_eval(a) for a in node.args[1:]))
+                except ValueError:  # a bound computed from data, covered below
+                    pass
+        assert len(literal) >= 30
+        ranges = (literal + list(G_RANGES.values()) + list(RATIO_RANGES.values())
+                  + [(LONG_TRIP_LO, hi) for hi in (240.0, 431.7, 640.0)]
+                  + [(102.0, min(126.0, peak - 2.0)) for peak in (115.0, 127.9, 174.99)]
+                  + [(131.0, min(165.0, peak - 1.0)) for peak in (136.01, 150.3, 174.99)]
+                  + [(1.0, max(2.0, d - 1.0)) for d in (0.0, 2.5, 61.0, 3600.7, 48211.3)])
+        for seed in (0, 7, 2**63 + 5):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                for lo, hi in ranges:
+                    assert _uniform(ours, lo, hi) == numpys.uniform(lo, hi), (lo, hi)
+            assert ours.random() == numpys.random()
 
 
 class TestConfigAndProfileValidation:
@@ -141,6 +178,35 @@ class TestPlantedTruth:
         assert set(truth["planted_betas"]) == {"weak", "medium", "strong"}
         assert set(truth["positive_counts"]) == {"any", "weak", "medium", "strong"}
         assert truth["positive_counts"]["any"] >= truth["positive_counts"]["strong"]
+
+    def test_profiles_digest_hashes_every_field_by_value(self):
+        res = generate_population(small_config(n_drivers=4, weeks=1))
+
+        def digest(*profiles):
+            return replace(res, profiles=list(profiles)).truth()["profiles_digest"]
+
+        # the layout: device id, NUL, then each other field flattened as <f8
+        layout = hashlib.sha256()
+        for p in res.profiles:
+            flat = [x for f in fields(DriverProfile)[1:] for x in np.atleast_1d(getattr(p, f.name))]
+            layout.update(p.device_id.encode() + b"\0" + np.array(flat, "<f8").tobytes())
+        assert res.truth()["profiles_digest"] == layout.hexdigest()
+
+        p = res.profiles[1]
+        base = digest(p)
+        assert digest(replace(p, device_id="d00009")) != base
+        as_floats = {}
+        for f in fields(DriverProfile)[1:]:
+            v = getattr(p, f.name)
+            cells = v if isinstance(v, tuple) else (v,)
+            for k, x in enumerate(cells):
+                bumped = cells[:k] + (np.nextafter(x, np.inf),) + cells[k + 1:]
+                one_ulp = replace(p, **{f.name: bumped if isinstance(v, tuple) else bumped[0]})
+                assert digest(one_ulp) != base, (f.name, k)
+            as_floats[f.name] = tuple(map(float, cells)) if isinstance(v, tuple) else float(v)
+        # numpy scalars and equal builtin floats print differently on numpy 2 but hash alike
+        assert any(type(x) is np.float64 for x in p.hour_weights + p.accel_rates)
+        assert digest(replace(p, **as_floats)) == base
 
     def test_default_sign_pattern(self):
         # the planted pattern mixes protective and risky coefficients
