@@ -48,6 +48,35 @@ def test_fit_outcomes(ci_fit, target):
     assert (row["n_train"], row["n_test"], row["note"]) == ("360", "40", note)
 
 
+def _header_and_rows(path):
+    """The header line of a CSV artifact and its data rows as dicts."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    return lines[0], csv_rows(path)
+
+
+def test_report_layouts(ci_fit):
+    """The header and discrete cells of eval_report.csv and ablation.csv.
+
+    The medium target's test partition is single-class, so its out-of-sample
+    AUC cell is empty.  Float cells are not pinned (see the module docstring).
+    """
+    header, rows = _header_and_rows(ci_fit / "eval_report.csv")
+    assert header == ("target,auc_in_sample,auc_out_of_sample,mcfadden_r2,"
+                      "n_train,n_test,seed,note")
+    assert [r["target"] for r in rows] == list(FIT_PINS)
+    assert [r["seed"] for r in rows] == ["0"] * len(FIT_PINS)
+    assert [r["target"] for r in rows if r["auc_out_of_sample"] == ""] == ["medium"]
+
+    book = ci_fit.parent
+    assert run_cli("ablate", "--features", book / "features.csv",
+                   "--claims", book / "claims.csv", "--out-dir", book / "ablate") == 0
+    header, rows = _header_and_rows(book / "ablate" / "ablation.csv")
+    assert header == "target,group,r2_with,r2_without,difference"
+    assert [(r["target"], r["group"]) for r in rows] == \
+        [(target, "a1 a2 a3 d1 d2 d3 s1 s2 s3") for target in FIT_PINS]
+
+
 def test_split_indices_digest():
     """Every split over a grid of sizes, fractions, seeds and both modes; a
     stratified split whose test side would be empty is pinned as that error."""
