@@ -181,8 +181,7 @@ def cmd_parse(ns, grouped: bool = True) -> int:
 
 
 def cmd_aggregate(ns, grouped: bool = True) -> int:
-    from .trips import (DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS,
-                        TRIP_CSV_COLUMNS, roll_up, trip_to_row)
+    from .trips import DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS, roll_up
 
     events_path = _require(ns.events, "events file")
     tz = _tzinfo(_opt(ns, "tz", str, "UTC"))
@@ -198,7 +197,7 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
             nonlocal n_hourly, n_trips
             trips, hourly = roll_up(log, gap, tz)
             write_hourly(hourly)
-            write_trips(map(trip_to_row, trips))
+            write_trips(trips)
             if not trips:
                 tripless.append(log.device_id)
             n_hourly, n_trips = n_hourly + len(hourly), n_trips + len(trips)
@@ -278,7 +277,7 @@ def _fit_targets(ns, write_models: bool):
     Writes ``eval_report.csv`` and, with ``write_models``, one model JSON per
     target; returns the reports.
     """
-    from .evaluation import SplitSpec, evaluate_model
+    from .evaluation import EvalReport, SplitSpec, evaluate_model
     from .glm import backward_eliminate, check_alpha, model_to_dict
 
     alpha = _checked(check_alpha, _opt(ns, "alpha", float, 0.05))
@@ -300,12 +299,8 @@ def _fit_targets(ns, write_models: bool):
             payload["provenance"] = _provenance_obj(spec.seed, inputs)
             _write_json(ns.out_dir / f"model_{target}.json", payload)
         del design, selected, model  # so the next target's design is built alone
-    write_csv(ns.out_dir / "eval_report.csv",
-              ("target", "auc_in_sample", "auc_out_of_sample", "mcfadden_r2",
-               "n_train", "n_test", "seed", "note"),
-              ([r.target, r.auc_in_sample,
-                "" if r.auc_out_of_sample is None else r.auc_out_of_sample,
-                r.mcfadden_r2, r.n_train, r.n_test, r.seed, r.note] for r in reports),
+    # csv writes None, an undefined out-of-sample AUC, as an empty cell
+    write_csv(ns.out_dir / "eval_report.csv", EvalReport._fields, reports,
               provenance_line(spec.seed, inputs))
     return reports
 
@@ -398,7 +393,7 @@ def cmd_premium(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
-    from .evaluation import ablation_compare
+    from .evaluation import AblationResult, ablation_compare
     from .features import FEATURE_GROUPS, MODEL_FEATURE_NAMES
 
     group_spec = _opt(ns, "group", str, "accel")
@@ -422,10 +417,8 @@ def cmd_ablate(ns) -> int:
         if not group:  # raised after the fits, so a degenerate design still exits 3
             raise ValueError(f"feature group {group_spec!r}: every column was "
                              "dropped as constant")
-    write_csv(ns.out_dir / "ablation.csv",
-              ("target", "group", "r2_with", "r2_without", "difference"),
-              ([r.target, " ".join(r.group), r.r2_with, r.r2_without, r.difference]
-               for r in results), provenance_line(None, inputs))
+    write_csv(ns.out_dir / "ablation.csv", AblationResult._fields, results,
+              provenance_line(None, inputs))
     for r in results:
         print(f"{r.target}: r2 {r.r2_without:.4f} -> {r.r2_with:.4f} "
               f"(+{r.difference:.4f})")

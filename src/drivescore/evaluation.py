@@ -8,7 +8,7 @@ with/without-feature-group ablation comparison, and the descriptive tables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +31,9 @@ class SplitSpec:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
+    """One row of ``eval_report.csv``; an undefined out-of-sample AUC is None."""
+
     target: str
     auc_in_sample: float
     auc_out_of_sample: float | None
@@ -43,10 +44,11 @@ class EvalReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AblationResult:
+class AblationResult(NamedTuple):
+    """One row of ``ablation.csv``; ``group`` holds the names joined by spaces."""
+
     target: str
-    group: tuple[str, ...]
+    group: str
     r2_with: float
     r2_without: float
     difference: float
@@ -148,7 +150,7 @@ def ablation_compare(design: DesignMatrix, target: str,
     r2_with = mcfadden_r2(full.log_likelihood, null.log_likelihood)
     reduced = fit_logistic(design.drop(group), target=target)
     r2_without = mcfadden_r2(reduced.log_likelihood, null.log_likelihood)
-    return AblationResult(target=target, group=group, r2_with=r2_with,
+    return AblationResult(target=target, group=" ".join(group), r2_with=r2_with,
                           r2_without=r2_without, difference=r2_with - r2_without)
 
 

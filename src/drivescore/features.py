@@ -146,14 +146,14 @@ def _window_features(recs: Sequence[HourlyRecord], trs: Sequence[Trip],
             day_km += km
         if h in MORNING_JAM_HOURS:
             mj_km += km
-            max_mj = max(max_mj, r.max_speed_kph)
+            max_mj = max(max_mj, r.max_kph)
         if h in EVENING_JAM_HOURS:
             ej_km += km
-            max_ej = max(max_ej, r.max_speed_kph)
+            max_ej = max(max_ej, r.max_kph)
         if h in NIGHT_HOURS:
             night_km += km
-            max_n = max(max_n, r.max_speed_kph)
-        max_sp = max(max_sp, r.max_speed_kph)
+            max_n = max(max_n, r.max_kph)
+        max_sp = max(max_sp, r.max_kph)
         speed_wsum += km * r.mean_speed_kph
         for i, band in enumerate(r.band_mileage()):
             band_km[i] += band
@@ -230,9 +230,9 @@ def compute_feature_table(hourly: Iterable[HourlyRecord], trips: Iterable[Trip],
 
     windows: dict[tuple[str, date | None], tuple[list, list]] = {}
     for r in hourly:
-        windows.setdefault((r.device_id, monday(r.hour_start)), ([], []))[0].append(r)
+        windows.setdefault((r.device, monday(r.hour_start)), ([], []))[0].append(r)
     for t in trips:
-        windows.setdefault((t.device_id, monday(t.start)), ([], []))[1].append(t)
+        windows.setdefault((t.device, monday(t.start)), ([], []))[1].append(t)
     keys = sorted(windows)
     starts, flags, rows = [], [], []
     for dev, week in keys:

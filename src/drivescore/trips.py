@@ -10,9 +10,9 @@ its GPS legs once, with a fixed number of array passes over the log's columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime, timedelta, timezone, tzinfo
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,53 +44,25 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * asin.reshape(np.shape(c))
 
 
-@dataclass(frozen=True)
-class Trip:
-    device_id: str
-    start: datetime
-    end: datetime
-    mileage_km: float
-    duration_s: float
-    mean_speed_kph: float
-
-    def __post_init__(self):
-        if self.end <= self.start:
-            raise ValueError("trip must end after it starts")
-        if abs(self.duration_s - (self.end - self.start).total_seconds()) > 1e-9:
-            raise ValueError("duration_s inconsistent with start/end")
-        if self.mileage_km < 0:
-            raise ValueError("negative mileage")
+# One trip: the cells of a trips.csv row.  ``roll_up`` keeps only trips that
+# span at least a minute and 0.1 km, and ``trip_from_row`` checks a row's trip.
+Trip = namedtuple("Trip", TRIP_CSV_COLUMNS)
 
 
-class HourlyRecord(NamedTuple):
+class HourlyRecord(namedtuple("HourlyRecord", HOURLY_CSV_COLUMNS)):
     """Aggregate of one device's activity during one local clock hour.
 
-    ``hour_start`` is the local start of the hour, with the UTC offset in
-    effect during it; with the default UTC configuration it is a UTC instant
-    truncated to the hour.  ``mileage_km`` equals the sum of the speed-band
-    mileage fields exactly.  The fields are the cells of an ``hourly.csv``
-    row, in ``HOURLY_CSV_COLUMNS`` order.
+    The fields are the cells of an ``hourly.csv`` row, named by
+    ``HOURLY_CSV_COLUMNS``.  ``device`` is a str and ``hour_start`` a
+    datetime: the local start of the hour, with the UTC offset in effect
+    during it; with the default UTC configuration it is a UTC instant
+    truncated to the hour.  The G-band counts ``a1`` ... ``s3`` are ints;
+    ``mileage_km``, ``mean_speed_kph``, the speed-band mileages ``m_lt20``
+    ... ``m_gt130`` and ``max_kph`` are floats, and ``mileage_km`` equals
+    the sum of the speed-band mileages exactly.
     """
 
-    device_id: str
-    hour_start: datetime
-    mileage_km: float
-    mean_speed_kph: float
-    a1_n: int
-    a2_n: int
-    a3_n: int
-    d1_n: int
-    d2_n: int
-    d3_n: int
-    s1_n: int
-    s2_n: int
-    s3_n: int
-    m_lt20: float
-    m_20_60: float
-    m_60_100: float
-    m_100_130: float
-    m_gt130: float
-    max_speed_kph: float
+    __slots__ = ()
 
     def accel_counts(self) -> tuple[int, ...]:
         return self[4:13]
@@ -314,19 +286,33 @@ def _hourly(log: DeviceLog, legs, counted: np.ndarray, tz: tzinfo) -> list[Hourl
                 max_speed.tolist(), counts.tolist(), band_km.tolist())]
 
 
+def _finite(record, first: int):
+    """``record``, if its fields from ``first`` on are finite numbers."""
+    if not all(map(math.isfinite, record[first:])):
+        name = next(name for name, x in zip(record._fields[first:], record[first:])
+                    if not math.isfinite(x))
+        raise ValueError(f"{name} is not a finite number: {getattr(record, name)}")
+    return record
+
+
 def hourly_from_row(cells: Sequence[str]) -> HourlyRecord:
     """The record of one row's cells in ``HOURLY_CSV_COLUMNS`` order."""
-    return HourlyRecord(cells[0], datetime.fromisoformat(cells[1]), float(cells[2]),
-                        float(cells[3]), *map(int, cells[4:13]), *map(float, cells[13:]))
-
-
-def trip_to_row(trip: Trip) -> list:
-    return [trip.device_id, trip.start, trip.end, trip.mileage_km, trip.duration_s,
-            trip.mean_speed_kph]
+    return _finite(HourlyRecord(cells[0], datetime.fromisoformat(cells[1]), float(cells[2]),
+                                float(cells[3]), *map(int, cells[4:13]),
+                                *map(float, cells[13:])), 2)
 
 
 def trip_from_row(cells: Sequence[str]) -> Trip:
-    """The trip of one row's cells in ``TRIP_CSV_COLUMNS`` order."""
+    """The trip of one row's cells in ``TRIP_CSV_COLUMNS`` order, if its numbers are
+    finite, it ends after it starts, its ``duration_s`` agrees with its start and
+    end, and its mileage is not negative."""
     device, start, end, *numbers = cells
-    return Trip(device, datetime.fromisoformat(start), datetime.fromisoformat(end),
-                *map(float, numbers))
+    trip = _finite(Trip(device, datetime.fromisoformat(start), datetime.fromisoformat(end),
+                        *map(float, numbers)), 3)
+    if trip.end <= trip.start:
+        raise ValueError("trip must end after it starts")
+    if abs(trip.duration_s - (trip.end - trip.start).total_seconds()) > 1e-9:
+        raise ValueError("duration_s inconsistent with start/end")
+    if trip.mileage_km < 0:
+        raise ValueError("negative mileage")
+    return trip

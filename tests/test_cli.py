@@ -423,8 +423,8 @@ class TestFitAndReport:
         assert all(r["group"] == "mileage avg_sp" for r in rows)
 
 
-def _features_sample(src, dst, n_rows=10, drop=None, **cells):
-    """First rows of a features CSV, with one column dropped or row 3 edited."""
+def _csv_sample(src, dst, n_rows=10, drop=None, **cells):
+    """First rows of a CSV artifact, with one column dropped or row 3 edited."""
     with open(src, newline="", encoding="utf-8") as f:
         reader = csv.reader(dropwhile(lambda ln: ln.startswith("#"), f))
         header = next(reader)
@@ -447,7 +447,7 @@ class TestFeatureInputErrors:
                                               "window_start"])
     @pytest.mark.parametrize("command", ["score", "fit"])
     def test_malformed_features_exit_1(self, small_pop, tmp_path, capsys, bad, command):
-        feats = _features_sample(small_pop / "features.csv", tmp_path / "f.csv", **bad)
+        feats = _csv_sample(small_pop / "features.csv", tmp_path / "f.csv", **bad)
         if command == "score":
             args = ("score", "--model", "paper-reference", "--target", "any")
         else:
@@ -456,7 +456,7 @@ class TestFeatureInputErrors:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
     def test_header_only_exit_codes(self, small_pop, tmp_path):
-        feats = _features_sample(small_pop / "features.csv", tmp_path / "f.csv", n_rows=0)
+        feats = _csv_sample(small_pop / "features.csv", tmp_path / "f.csv", n_rows=0)
         claims = small_pop / "claims.csv"
         assert run_cli("fit", "--features", feats, "--claims", claims,
                        "--out-dir", tmp_path) == 3
@@ -469,8 +469,8 @@ class TestFeatureInputErrors:
     def test_score_writes_parsed_window_start(self, small_pop, tmp_path):
         src = rows_of(small_pop / "features.csv")[2]
         spaced = src["window_start"].replace("T", " ")
-        feats = _features_sample(small_pop / "features.csv", tmp_path / "f.csv",
-                                 n_rows=3, window_start=spaced)
+        feats = _csv_sample(small_pop / "features.csv", tmp_path / "f.csv",
+                            n_rows=3, window_start=spaced)
         assert run_cli("score", "--model", "paper-reference", "--features", feats,
                        "--out-dir", tmp_path) == 0
         scores = rows_of(tmp_path / "scores.csv")
@@ -507,6 +507,32 @@ class TestShortRows:
         assert run_cli(*args, "--out-dir", tmp_path / "out") == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error: {bad}: data row 2: ")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def small_pop_aggregate(small_pop, tmp_path_factory):
+    """``aggregate``'s hourly.csv and trips.csv for the small population's logs."""
+    d = tmp_path_factory.mktemp("small_pop_aggregate")
+    assert run_cli("aggregate", "--events", small_pop / "events.jsonl", "--out-dir", d) == 0
+    return d
+
+
+class TestNonFiniteRecordCells:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, column", [("hourly.csv", "mileage_km"),
+                                              ("trips.csv", "mileage_km"),
+                                              ("trips.csv", "duration_s")])
+    def test_exits_1_naming_the_row(self, small_pop_aggregate, tmp_path, capsys,
+                                    name, column, value):
+        bad = _csv_sample(small_pop_aggregate / name, tmp_path / name, **{column: value})
+        files = {"hourly.csv": small_pop_aggregate / "hourly.csv",
+                 "trips.csv": small_pop_aggregate / "trips.csv", name: bad}
+        capsys.readouterr()
+        assert run_cli("features", "--hourly", files["hourly.csv"], "--trips", files["trips.csv"],
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: data row 3: {column} is not a finite number: {value}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -124,7 +124,7 @@ class TestAblation:
         d = _planted_design(n=600, seed=23)
         res = ablation_compare(d, "any", ["x"])
         assert isinstance(res, AblationResult)
-        assert res.group == ("x",)
+        assert res.group == "x"
         assert res.difference == pytest.approx(res.r2_with - res.r2_without)
         assert res.difference > 0.05
 

@@ -15,7 +15,7 @@ from drivescore.synthgen import SynthConfig, generate_population, iter_event_log
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
                               HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS,
                               HourlyRecord, Trip, haversine_km, hourly_from_row,
-                              roll_up, trip_from_row, trip_to_row)
+                              roll_up, trip_from_row)
 from conftest import jsonl, parse_objs
 
 UTC = timezone.utc
@@ -109,17 +109,21 @@ class TestSegmentation:
 
 
 class TestTripInvariants:
+    """``trip_from_row`` checks each trip that enters from a trips.csv row."""
+
     def test_end_after_start(self):
-        with pytest.raises(ValueError):
-            Trip("d1", T0, T0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="trip must end after it starts"):
+            trip_from_row(["d1", T0.isoformat(), T0.isoformat(), "1.0", "0.0", "0.0"])
 
     def test_duration_consistency(self):
-        with pytest.raises(ValueError):
-            Trip("d1", T0, T0 + timedelta(minutes=10), 5.0, 500.0, 30.0)
+        end = T0 + timedelta(minutes=10)
+        with pytest.raises(ValueError, match="duration_s inconsistent with start/end"):
+            trip_from_row(["d1", T0.isoformat(), end.isoformat(), "5.0", "500.0", "30.0"])
 
     def test_negative_mileage(self):
-        with pytest.raises(ValueError):
-            Trip("d1", T0, T0 + timedelta(minutes=10), -1.0, 600.0, 0.0)
+        end = T0 + timedelta(minutes=10)
+        with pytest.raises(ValueError, match="negative mileage"):
+            trip_from_row(["d1", T0.isoformat(), end.isoformat(), "-1.0", "600.0", "0.0"])
 
 
 class TestAggregateHourly:
@@ -149,7 +153,7 @@ class TestAggregateHourly:
         objs.append({"device": "d1", "ts": iso(T0 + timedelta(minutes=10)),
                      "kind": "speed", "speed_kph": 131.0})
         _, _, recs = self._pipeline(objs)
-        assert recs[0].max_speed_kph == 131.0
+        assert recs[0].max_kph == 131.0
 
     def test_speed_reading_counts_in_an_hour_without_legs(self):
         """An hour that only a harsh event opens still takes the hour's speed
@@ -160,7 +164,7 @@ class TestAggregateHourly:
                  {"device": "d1", "ts": iso(later + timedelta(minutes=1)),
                   "kind": "acceleration", "axis": "lateral", "accel_g": 0.45}]
         _, _, recs = self._pipeline(objs)
-        assert [(r.hour_start.hour, r.mileage_km, r.s2_n, r.max_speed_kph)
+        assert [(r.hour_start.hour, r.mileage_km, r.s2, r.max_kph)
                 for r in recs[1:]] == [(12, 0.0, 1, 42.0)]
 
     def test_accel_events_counted_by_band(self):
@@ -173,8 +177,8 @@ class TestAggregateHourly:
                          "kind": "acceleration", "axis": axis, "accel_g": g})
         _, _, recs = self._pipeline(objs)
         r = recs[0]
-        assert (r.a1_n, r.d1_n, r.s2_n) == (1, 1, 1)
-        assert r.a2_n == r.a3_n == r.d2_n == r.d3_n == r.s1_n == r.s3_n == 0
+        assert (r.a1, r.d1, r.s2) == (1, 1, 1)
+        assert r.a2 == r.a3 == r.d2 == r.d3 == r.s1 == r.s3 == 0
 
     def test_timezone_changes_hour_bucket(self):
         tz3 = timezone(timedelta(hours=3))
@@ -196,7 +200,7 @@ def _through_reversed_csv(path, columns, row, from_row):
 
 def test_trip_row_round_trip(tmp_path):
     t = Trip("d9", T0, T0 + timedelta(seconds=1234), 17.25, 1234.0, 50.32)
-    assert _through_reversed_csv(tmp_path / "trips.csv", TRIP_CSV_COLUMNS, trip_to_row(t),
+    assert _through_reversed_csv(tmp_path / "trips.csv", TRIP_CSV_COLUMNS, t,
                                  trip_from_row) == [t]
 
 
