@@ -10,9 +10,11 @@ import pytest
 from drivescore import evaluation
 from drivescore.evaluation import DegenerateLabelsError
 from drivescore.features import ACCEL_FEATURES, FEATURE_CSV_COLUMNS, FEATURE_NAMES
-from drivescore.fileio import write_csv
-from drivescore.glm import FittedModel, model_to_dict, fit_logistic, DesignMatrix
-from drivescore.labeling import CLAIMS_CSV_COLUMNS
+from drivescore.fileio import fmt_float, iter_csv_records, write_csv
+from drivescore.glm import (FittedModel, model_to_dict, fit_logistic, DesignMatrix,
+                           predict_proba)
+from drivescore.labeling import CLAIMS_CSV_COLUMNS, claim_from_row
+from drivescore.synthgen import SynthConfig, generate_population
 from conftest import csv_rows as rows_of, run_cli
 
 import numpy as np
@@ -33,6 +35,12 @@ class TestSynthArtifacts:
         truth = json.loads((small_pop / "truth.json").read_text())
         assert set(truth["planted_betas"]) == {"weak", "medium", "strong"}
         assert truth["n_drivers"] == 160
+
+    def test_claims_csv_reads_back_as_the_generated_claims(self, tmp_path):
+        assert run_cli("synth", "--n", 300, "--weeks", 8, "--seed", 4,
+                       "--out-dir", tmp_path) == 0
+        got = list(iter_csv_records(tmp_path / "claims.csv", CLAIMS_CSV_COLUMNS, claim_from_row))
+        assert got == generate_population(SynthConfig(300, 8, 4)).claims
 
     def test_requires_population_size(self, tmp_path):
         assert run_cli("synth", "--weeks", 4, "--out-dir", tmp_path) == 4
@@ -306,7 +314,10 @@ class TestScoreAndPremium:
         assert run_cli("score", "--model", path,
                        "--features", small_pop / "features.csv",
                        "--out-dir", tmp_path) == 0
-        assert rows_of(tmp_path / "scores.csv")
+        features = rows_of(small_pop / "features.csv")
+        want = predict_proba(model, {"mileage": [float(r["mileage"]) for r in features]})
+        assert [(r["device"], r["probability"]) for r in rows_of(tmp_path / "scores.csv")] == \
+            [(r["device"], fmt_float(p)) for r, p in zip(features, want)]
 
     @pytest.mark.parametrize("shape", ["list", "coef list", "null coefficient",
                                        "not JSON", "not UTF-8"])
