@@ -170,9 +170,8 @@ def cmd_parse(ns, grouped: bool = True) -> int:
         "n_lines": result.n_lines,
         "n_events": result.n_events,
         "n_devices": len(issues),
-        "skipped": [{"line": s.line_no, "reason": s.reason} for s in result.skipped],
-        "validation": {dev: [{"code": i.code, "message": i.message} for i in found]
-                       for dev, found in issues.items() if found},
+        "skipped": [s._asdict() for s in result.skipped],
+        "validation": {dev: [i._asdict() for i in found] for dev, found in issues.items() if found},
         "provenance": _provenance_obj(None, {"events": digest}),
     })
     print(f"parsed {result.n_events} events from {result.n_lines} lines "
@@ -203,7 +202,7 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
             n_hourly, n_trips = n_hourly + len(hourly), n_trips + len(trips)
         result = parse_event_file(events_path, each, grouped=grouped)
     for s in result.skipped:
-        print(f"line {s.line_no}: {s.reason}", file=sys.stderr)
+        print(f"line {s.line}: {s.reason}", file=sys.stderr)
     for device in tripless:
         print(f"device {device}: no trip kept", file=sys.stderr)
     print(f"wrote {n_hourly} hourly records and {n_trips} trips "
@@ -239,7 +238,7 @@ def cmd_label(ns) -> int:
     claims = _read_claims(claims_path)
     prov = provenance_line(None, {"claims": sha256_digest(claims_path)})
     write_csv(ns.out_dir / "labels.csv", LABELS_CSV_COLUMNS,
-              ([c.device_id, classify_severity(c)] for c in claims), prov)
+              ([c.device, classify_severity(c)] for c in claims), prov)
     print(f"labeled {len(claims)} claims")
     return 0
 
@@ -320,8 +319,8 @@ def cmd_evaluate(ns) -> int:
 
 
 def _load_scoring_model(ns):
-    """FittedModel from a JSON file, or the published bundle by token."""
-    from .glm import load_reference_models, model_from_dict
+    """ScoringModel from a JSON file, or the published bundle by token."""
+    from .glm import load_reference_models, scoring_model
 
     if ns.model == REFERENCE_MODEL_TOKEN:
         target = ns.target or "any"
@@ -340,7 +339,8 @@ def _load_scoring_model(ns):
     path = _require(ns.model, "model file")
     raw = path.read_bytes()
     try:
-        model = model_from_dict(json.loads(raw.decode("utf-8")))
+        d = json.loads(raw.decode("utf-8"))
+        model = scoring_model(d["target"], d)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, hashlib.sha256(raw).hexdigest()
@@ -466,9 +466,7 @@ def cmd_synth(ns) -> int:
     prov = provenance_line(seed)
     write_csv(ns.out_dir / "features.csv", FEATURE_CSV_COLUMNS,
               feature_rows(result.features), prov)
-    write_csv(ns.out_dir / "claims.csv", CLAIMS_CSV_COLUMNS,
-              ([c.device_id, c.loss_size, c.ins_sum, "1" if c.culprit else "0"]
-               for c in result.claims), prov)
+    write_csv(ns.out_dir / "claims.csv", CLAIMS_CSV_COLUMNS, result.claims, prov)
     truth = result.truth()
     truth["provenance"] = _provenance_obj(seed, {})
     _write_json(ns.out_dir / "truth.json", truth)

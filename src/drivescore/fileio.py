@@ -102,13 +102,13 @@ def iter_csv_records(path: str | Path, columns: Sequence[str],
                      parse_row: Callable[[list[str]], T]) -> Iterator[T]:
     """Parse the data rows of a CSV that must carry ``columns``, one at a time.
 
-    ``parse_row`` gets each row's cells in ``columns`` order.  The ``#``
-    provenance lines before the header and blank rows are skipped; a data
-    row whose first cell starts with ``#`` is read like any other.  A
-    missing column, a short row, or a row that ``parse_row`` rejects with
-    TypeError or ValueError raises ValueError naming the file and data row;
-    text that is not UTF-8 or that ``csv`` rejects (a cell over its field
-    size limit) raises ValueError naming the file.
+    ``parse_row`` gets each row's cells in ``columns`` order.  The ``#`` provenance
+    lines before the header and blank rows are skipped; a data row whose first cell
+    starts with ``#`` is read like any other.  A missing column, a short row, or a row
+    that ``parse_row`` rejects with TypeError, ValueError or OverflowError (an integer
+    too large for a float) raises ValueError naming the file and data row; text that
+    is not UTF-8 or that ``csv`` rejects (a cell over its field size limit) raises
+    ValueError naming the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         try:
@@ -125,7 +125,7 @@ def iter_csv_records(path: str | Path, columns: Sequence[str],
                     if len(row) < width:
                         raise ValueError(f"short row: fewer than {width} cells")
                     record = parse_row([row[j] for j in picks])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"{path}: data row {i}: {exc}") from None
                 yield record
         except (csv.Error, UnicodeDecodeError) as exc:

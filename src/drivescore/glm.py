@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -351,49 +351,29 @@ def model_to_dict(model: FittedModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> FittedModel:
-    cols = tuple(d["columns"])
-    return FittedModel(
-        target=d["target"],
-        columns=cols,
-        coef=tuple(float(d["coef"][c]) for c in cols),
-        se=tuple(float(d["se"][c]) for c in cols),
-        p_values=tuple(float(d["p_value"][c]) for c in cols),
-        log_likelihood=float(d["log_likelihood"]),
-        aic=float(d["aic"]),
-        n_obs=int(d["n_obs"]),
-        converged=bool(d["converged"]),
-        n_iter=int(d.get("n_iter", 0)),
-        flagged=tuple(d.get("flagged", ())),
-    )
+class ScoringModel(NamedTuple):
+    """What scoring reads of a model: a fitted model's file or a bundle entry.
 
-
-@dataclass(frozen=True)
-class ReferenceModel:
-    """Published coefficient table for one target, usable for scoring.
-
-    Coefficients are stored exactly as published (three decimals), so columns
-    listed in ``non_scorable`` have effects that rounded to zero in print and
-    contribute nothing to scores.
+    The published bundle stores coefficients exactly as printed (three
+    decimals), so columns listed in ``non_scorable`` have effects that
+    rounded to zero in print and contribute nothing to scores.
     """
 
     target: str
     columns: tuple[str, ...]  # intercept first
     coef: tuple[float, ...]
-    non_scorable: tuple[str, ...]
+    non_scorable: tuple[str, ...] = ()
 
 
-def load_reference_models() -> dict[str, ReferenceModel]:
+def scoring_model(target: str, d: Mapping) -> ScoringModel:
+    """The scoring model of a ``model_to_dict`` payload or a bundle entry:
+    its ``columns``, a number in ``coef`` for each, and ``non_scorable``."""
+    cols = tuple(d["columns"])
+    return ScoringModel(target, cols, tuple(float(d["coef"][c]) for c in cols),
+                        tuple(d.get("non_scorable", ())))
+
+
+def load_reference_models() -> dict[str, ScoringModel]:
     """The published four-target coefficient bundle shipped with the package."""
     raw = resources.files("drivescore.data").joinpath("reference_models.json").read_text("utf-8")
-    data = json.loads(raw)
-    out = {}
-    for target, m in data["models"].items():
-        cols = tuple(m["columns"])
-        out[target] = ReferenceModel(
-            target=target,
-            columns=cols,
-            coef=tuple(float(m["coef"][c]) for c in cols),
-            non_scorable=tuple(m.get("non_scorable", ())),
-        )
-    return out
+    return {target: scoring_model(target, m) for target, m in json.loads(raw)["models"].items()}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice
 from operator import eq, le
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 # Event kinds and acceleration axes by their uint8 codes in a DeviceLog.
 KIND_NAMES = ("ignition_on", "ignition_off", "position", "speed", "acceleration")
@@ -152,9 +152,8 @@ def _row(cols: tuple[array, ...], i: int) -> tuple:
             _present(accel[i]))
 
 
-@dataclass(frozen=True)
-class SkippedLine:
-    line_no: int
+class SkippedLine(NamedTuple):  # its fields are parse_report.json's keys
+    line: int
     reason: str
 
 
@@ -169,8 +168,7 @@ class ParseResult:
         return self.n_events + len(self.skipped)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):  # its fields are parse_report.json's keys
     code: str
     message: str
 
@@ -342,7 +340,7 @@ def read_device_logs(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[byte
     b = None  # a builder's records go once its log is built
     for device in list(builders):
         yield build(builders.pop(device))
-    skipped.sort(key=lambda s: s.line_no)
+    skipped.sort()  # each line is skipped at most once, so this is line order
 
 
 def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes]) -> ParseResult:

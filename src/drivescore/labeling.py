@@ -10,7 +10,7 @@ label claims or price scores start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 TARGETS = ("any", "weak", "medium", "strong")
@@ -36,21 +36,8 @@ class EstimationError(ValueError):
     without importing those layers."""
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    device_id: str
-    loss_size: float
-    ins_sum: float
-    culprit: bool
-
-    def __post_init__(self):
-        for name in ("loss_size", "ins_sum"):
-            if not math.isfinite(getattr(self, name)):
-                raise ClaimValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.ins_sum <= 0:
-            raise ClaimValidationError(f"ins_sum must be positive, got {self.ins_sum}")
-        if self.loss_size < 0:
-            raise ClaimValidationError(f"loss_size must be non-negative, got {self.loss_size}")
+# One claim, its fields the columns of claims.csv; culprit is 1 or 0.
+ClaimRecord = namedtuple("ClaimRecord", CLAIMS_CSV_COLUMNS)
 
 
 def classify_severity(claim: ClaimRecord) -> str:
@@ -84,7 +71,7 @@ def build_targets(claims: Sequence[ClaimRecord], devices: Sequence[str],
         raise ValueError(f"unknown target: {target!r}")
     classes: dict[str, set[str]] = {}
     for c in claims:
-        classes.setdefault(c.device_id, set()).add(classify_severity(c))
+        classes.setdefault(c.device, set()).add(classify_severity(c))
     out = []
     for dev in devices:
         got = classes.get(dev, set())
@@ -96,12 +83,21 @@ def build_targets(claims: Sequence[ClaimRecord], devices: Sequence[str],
 
 
 def claim_from_row(cells: Sequence[str]) -> ClaimRecord:
-    """The claim of one row's cells in ``CLAIMS_CSV_COLUMNS`` order."""
+    """The claim of one row's cells in ``CLAIMS_CSV_COLUMNS`` order, if its amounts
+    are finite, its insured sum positive and its loss not negative."""
     device, loss_size, ins_sum, culprit = cells
     flag = BOOLEANS.get(culprit.strip().lower())
     if flag is None:
         raise ClaimValidationError(f"culprit must be boolean-like, got {culprit!r}")
-    return ClaimRecord(device, float(loss_size), float(ins_sum), flag)
+    claim = ClaimRecord(device, float(loss_size), float(ins_sum), int(flag))
+    for name, value in zip(("loss_size", "ins_sum"), claim[1:3]):
+        if not math.isfinite(value):
+            raise ClaimValidationError(f"{name} must be finite, got {value}")
+    if claim.ins_sum <= 0:
+        raise ClaimValidationError(f"ins_sum must be positive, got {claim.ins_sum}")
+    if claim.loss_size < 0:
+        raise ClaimValidationError(f"loss_size must be non-negative, got {claim.loss_size}")
+    return claim
 
 
 def compute_premium(p_accident: float, predicted_loss: float,

@@ -33,7 +33,7 @@ from .features import (DAYTIME_HOURS, EVENING_JAM_HOURS, FEATURE_NAMES, MORNING_
 from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, LONGITUDINAL,
                      POSITION, SPEED, DeviceLog, DeviceLogBuilder, epoch_seconds)
 from .trips import EARTH_RADIUS_KM
-from .labeling import ClaimRecord
+from .labeling import TARGETS, ClaimRecord
 
 SYNTH_EPOCH = datetime(2019, 3, 4, tzinfo=timezone.utc)  # a Monday
 SYNTH_LATITUDE = 0.0  # equatorial paths make leg distance linear in longitude
@@ -389,20 +389,20 @@ def draw_claims(dev: str, probabilities: Mapping[str, float],
     """
     outcomes: dict[str, int] = {}
     claims: list[ClaimRecord] = []
-    for target in ("weak", "medium", "strong"):
+    for target in TARGETS[1:]:  # the severity targets
         hit = int(rng.random() < probabilities[target])
         outcomes[target] = hit
         if hit:
             lo, hi = RATIO_RANGES[target]
             ratio = _uniform(rng, lo, hi)
             ins = _insured_sum(rng)
-            claims.append(ClaimRecord(dev, ratio * ins, ins, True))
+            claims.append(ClaimRecord(dev, ratio * ins, ins, 1))
     if rng.random() < NONCULPRIT_CLAIM_RATE:
         ins = _insured_sum(rng)
-        claims.append(ClaimRecord(dev, _uniform(rng, 0.01, 0.40) * ins, ins, False))
+        claims.append(ClaimRecord(dev, _uniform(rng, 0.01, 0.40) * ins, ins, 0))
     if rng.random() < ZERO_LOSS_CLAIM_RATE:
-        claims.append(ClaimRecord(dev, 0.0, _insured_sum(rng), True))
-    outcomes["any"] = int(any(outcomes[t] for t in ("weak", "medium", "strong")))
+        claims.append(ClaimRecord(dev, 0.0, _insured_sum(rng), 1))
+    outcomes["any"] = int(any(outcomes.values()))
     return outcomes, claims
 
 
@@ -422,7 +422,7 @@ def generate_population(config: SynthConfig) -> SynthResult:
     planted = {t: planted_probabilities(features, beta)
                for t, beta in DEFAULT_PLANTED_BETAS.items()}
     claims: list[ClaimRecord] = []
-    outcomes: dict[str, list[int]] = {"any": [], "weak": [], "medium": [], "strong": []}
+    outcomes: dict[str, list[int]] = {t: [] for t in TARGETS}
     # each driver's claims come from its own core stream, after its profile
     for i, (profile, rng) in enumerate(zip(profiles, core_rngs)):
         out, cl = draw_claims(profile.device_id, {t: p[i] for t, p in planted.items()}, rng)

@@ -319,6 +319,24 @@ class TestScoreAndPremium:
         assert [(r["device"], r["probability"]) for r in rows_of(tmp_path / "scores.csv")] == \
             [(r["device"], fmt_float(p)) for r, p in zip(features, want)]
 
+    def test_model_file_needs_only_target_columns_and_coef(self, small_pop, tmp_path):
+        """score reads nothing else of a model file, so a file without the fit
+        statistics scores the same rows as the full one."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 2))
+        y = (rng.random(200) < 1 / (1 + np.exp(-X[:, 0] + X[:, 1]))).astype(int)
+        rows = [{"mileage": float(a), "avg_sp": float(b)} for a, b in X]
+        model = model_to_dict(fit_logistic(DesignMatrix.from_rows(rows, y, ("mileage", "avg_sp")),
+                                           target="any"))
+        for name, payload in (("full", model),
+                              ("minimal", {k: model[k] for k in ("target", "columns", "coef")})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+            assert run_cli("score", "--model", tmp_path / f"{name}.json",
+                           "--features", small_pop / "features.csv",
+                           "--out-dir", tmp_path / name) == 0
+        assert rows_of(tmp_path / "minimal" / "scores.csv") == \
+            rows_of(tmp_path / "full" / "scores.csv")
+
     @pytest.mark.parametrize("shape", ["list", "coef list", "null coefficient",
                                        "not JSON", "not UTF-8"])
     def test_malformed_model_file_exits_1_naming_it(self, small_pop, tmp_path, capsys, shape):
@@ -530,6 +548,19 @@ def small_pop_aggregate(small_pop, tmp_path_factory):
 
 
 class TestNonFiniteRecordCells:
+    @pytest.mark.parametrize("column", ["a1", "s3"])
+    def test_huge_count_exits_1_naming_the_row(self, small_pop_aggregate, tmp_path, capsys,
+                                               column):
+        """A count too large for a float fails the row, not the command."""
+        bad = _csv_sample(small_pop_aggregate / "hourly.csv", tmp_path / "hourly.csv",
+                          **{column: "1" + "0" * 400})
+        capsys.readouterr()
+        assert run_cli("features", "--hourly", bad, "--trips", small_pop_aggregate / "trips.csv",
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: data row 3: int too large to convert to float\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name, column", [("hourly.csv", "mileage_km"),
                                               ("trips.csv", "mileage_km"),

@@ -90,7 +90,7 @@ class TestParseEventLog:
         result = parse_event_log(lines)
         assert result.n_lines == 5
         assert result.n_events == 2
-        assert [s.line_no for s in result.skipped] == [2, 4, 5]
+        assert [s.line for s in result.skipped] == [2, 4, 5]
         assert result.n_events + len(result.skipped) == result.n_lines
 
     def test_sorts_within_device(self):

@@ -1,4 +1,6 @@
 """Claim severity classes and per-device targets."""
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,8 +9,12 @@ from drivescore.labeling import (CLAIMS_CSV_COLUMNS, ClaimRecord,
                                  claim_from_row, classify_severity)
 
 
-def claim(loss, ins=100_000.0, culprit=True, device="d1"):
+def claim(loss, ins=100_000.0, culprit=1, device="d1"):
     return ClaimRecord(device, loss, ins, culprit)
+
+
+def claim_cells(loss, ins=100_000.0):
+    return claim_from_row(["d1", str(loss), str(ins), "1"])
 
 
 class TestClassifySeverity:
@@ -16,7 +22,7 @@ class TestClassifySeverity:
         assert classify_severity(claim(0.0)) == "none"
 
     def test_non_culprit_is_none_whatever_the_loss(self):
-        assert classify_severity(claim(90_000.0, culprit=False)) == "none"
+        assert classify_severity(claim(90_000.0, culprit=0)) == "none"
 
     @pytest.mark.parametrize("loss,want", [
         (1.0, "weak"),
@@ -38,12 +44,12 @@ class TestClassifySeverity:
 
 class TestClaimValidation:
     def test_negative_loss(self):
-        with pytest.raises(ClaimValidationError):
-            claim(-1.0)
+        with pytest.raises(ClaimValidationError, match="loss_size must be non-negative, got -1.0"):
+            claim_cells(-1.0)
 
     def test_nonpositive_ins_sum(self):
-        with pytest.raises(ClaimValidationError):
-            claim(10.0, ins=0.0)
+        with pytest.raises(ClaimValidationError, match="ins_sum must be positive, got 0.0"):
+            claim_cells(10.0, ins=0.0)
 
     @pytest.mark.parametrize("loss,ins", [
         (float("nan"), 100_000.0), (float("inf"), 100_000.0),
@@ -52,8 +58,9 @@ class TestClaimValidation:
         # nan compares false with every bound, and x / inf is 0, so neither
         # would fail the sign checks: a nan loss classed "strong" and an inf
         # insured sum "none"
-        with pytest.raises(ClaimValidationError, match="must be finite"):
-            claim(loss, ins=ins)
+        name, value = ("ins_sum", ins) if math.isfinite(loss) else ("loss_size", loss)
+        with pytest.raises(ClaimValidationError, match=f"{name} must be finite, got {value}$"):
+            claim_cells(loss, ins=ins)
 
     def test_non_finite_cell_fails_the_row(self):
         with pytest.raises(ClaimValidationError, match="loss_size must be finite"):
@@ -65,7 +72,7 @@ class TestBuildTargets:
         claims = [claim(1_000.0, device="a"),          # weak
                   claim(10_000.0, device="b"),         # medium
                   claim(50_000.0, device="b"),         # strong, same device
-                  claim(3_000.0, device="c", culprit=False)]
+                  claim(3_000.0, device="c", culprit=0)]
         devices = ["a", "b", "c", "d"]
         assert build_targets(claims, devices, "weak") == [1, 0, 0, 0]
         assert build_targets(claims, devices, "medium") == [0, 1, 0, 0]
@@ -81,16 +88,16 @@ class TestBuildTargets:
 
 
 def test_claim_row_round_trip():
-    c = claim(1234.5, ins=98765.0, culprit=False, device="z9")
-    cells = [str(v) for v in (c.device_id, c.loss_size, c.ins_sum, int(c.culprit))]
+    c = claim(1234.5, ins=98765.0, culprit=0, device="z9")
+    cells = [str(v) for v in (c.device, c.loss_size, c.ins_sum, c.culprit)]
     assert CLAIMS_CSV_COLUMNS == ("device", "loss_size", "ins_sum", "culprit")
     assert claim_from_row(cells) == c
 
 
 def test_claim_row_culprit_parsing():
     base = ["d", "1", "10"]
-    assert claim_from_row([*base, " True"]).culprit
-    assert not claim_from_row([*base, "0"]).culprit
+    assert claim_from_row([*base, " True"]).culprit == 1
+    assert claim_from_row([*base, "0"]).culprit == 0
     with pytest.raises(ClaimValidationError, match="got 'maybe'"):
         claim_from_row([*base, "maybe"])
 
