@@ -14,12 +14,13 @@ or the reverse).
 Every command runs in a process of its own, so start-up counts: only the
 numpy-free layers (ingest, fileio, labeling) are imported here, and each
 command imports the numpy-backed layers it calls in its own body.  parse,
-label and premium never load numpy.
+label and premium never load numpy.  Input digests use CPython's built-in
+SHA-256 (``fileio.sha256``), not hashlib's, whose OpenSSL library adds
+3.6 MB to every command's resident memory.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from zoneinfo import ZoneInfo
 
 from . import __version__
 from .fileio import (WINDOW_KINDS, atomic_files, csv_row_writer, iter_csv_records,
-                     provenance_line, sha256_digest, write_csv)
+                     provenance_line, sha256, sha256_digest, write_csv)
 from .ingest import DeviceOrderError, iter_log_lines, parse_event_file, validate_log
 from .labeling import (BOOLEANS, CLAIMS_CSV_COLUMNS, LABELS_CSV_COLUMNS, TARGETS,
                        EstimationError, build_targets, claim_from_row,
@@ -333,7 +334,7 @@ def _load_scoring_model(ns):
                   f"{', '.join(model.non_scorable)} rounded to zero in print "
                   "and contribute nothing to scores", file=sys.stderr)
         raw = resources.files("drivescore.data").joinpath("reference_models.json").read_bytes()
-        return model, hashlib.sha256(raw).hexdigest()
+        return model, sha256(raw).hexdigest()
     if ns.target is not None:
         raise ConfigError(f"--target applies only to --model {REFERENCE_MODEL_TOKEN}")
     path = _require(ns.model, "model file")
@@ -343,7 +344,7 @@ def _load_scoring_model(ns):
         model = scoring_model(d["target"], d)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return model, hashlib.sha256(raw).hexdigest()
+    return model, sha256(raw).hexdigest()
 
 
 def cmd_score(ns) -> int:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 from contextlib import contextmanager, suppress
 from datetime import datetime
@@ -20,9 +19,20 @@ WINDOW_KINDS = ("weekly", "lifetime")
 
 T = TypeVar("T")
 
+# CPython's own SHA-256, not hashlib's: ``import hashlib`` maps OpenSSL's
+# libcrypto (3.6 MB of resident memory) into every command just to hash its
+# inputs.  The built-in one writes the same digest, about 5x slower (see README).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
+
 
 def sha256_digest(path: str | Path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)

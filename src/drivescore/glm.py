@@ -191,7 +191,11 @@ def fit_logistic(design: DesignMatrix, target: str = "",
     if npos == 0 or npos == n:
         raise SingleClassError(target)
 
-    scale = np.maximum(1.0, np.abs(X).max(axis=0))
+    scale = np.maximum(1.0, np.maximum(X.max(axis=0), -X.min(axis=0)))  # max|x_j|, no |X| copy
+    # X * w[:, None] is written into one buffer per fit.  The buffer takes X's layout
+    # (F-order for a column subset), as the product would, so X.T @ wx takes the same
+    # matmul path and the fitted coefficients keep their last bits.
+    wx = np.empty_like(X)
     beta = np.zeros(k)
     eta = X @ beta
     ll = _log_likelihood(eta, y)
@@ -208,7 +212,7 @@ def fit_logistic(design: DesignMatrix, target: str = "",
         if over:
             raise SeparationError(over)
         w = p * (1.0 - p)
-        info = X.T @ (X * w[:, None])
+        info = X.T @ np.multiply(X, w[:, None], out=wx)
         try:
             np.linalg.cholesky(info)
             delta = np.linalg.solve(info, g)
@@ -236,7 +240,7 @@ def fit_logistic(design: DesignMatrix, target: str = "",
             raise SeparationError(big)
 
     w = p * (1.0 - p)  # the loop's last pass took p from the final eta
-    info = X.T @ (X * w[:, None])
+    info = X.T @ np.multiply(X, w[:, None], out=wx)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -367,10 +371,13 @@ class ScoringModel(NamedTuple):
 
 def scoring_model(target: str, d: Mapping) -> ScoringModel:
     """The scoring model of a ``model_to_dict`` payload or a bundle entry:
-    its ``columns``, a number in ``coef`` for each, and ``non_scorable``."""
+    its ``columns``, a finite number in ``coef`` for each, and ``non_scorable``."""
     cols = tuple(d["columns"])
-    return ScoringModel(target, cols, tuple(float(d["coef"][c]) for c in cols),
-                        tuple(d.get("non_scorable", ())))
+    coef = tuple(float(d["coef"][c]) for c in cols)
+    for c, b in zip(cols, coef):
+        if not math.isfinite(b):
+            raise ValueError(f"coefficient of {c} is not a finite number: {b}")
+    return ScoringModel(target, cols, coef, tuple(d.get("non_scorable", ())))
 
 
 def load_reference_models() -> dict[str, ScoringModel]:

@@ -18,7 +18,6 @@ claims that must label as "none".
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -30,6 +29,7 @@ import numpy as np
 from .bands import ACCEL_BAND_NAMES
 from .features import (DAYTIME_HOURS, EVENING_JAM_HOURS, FEATURE_NAMES, MORNING_JAM_HOURS,
                        NIGHT_HOURS, TRIP_LONG_KM, TRIP_SHORT_KM, FeatureTable, feature_matrix)
+from .fileio import sha256
 from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, LONGITUDINAL,
                      POSITION, SPEED, DeviceLog, DeviceLogBuilder, epoch_seconds)
 from .trips import EARTH_RADIUS_KM
@@ -161,7 +161,7 @@ class SynthResult:
     def truth(self) -> dict:
         """The planted set-up; ``profiles_digest`` hashes each profile's device id (UTF-8, NUL),
         then its other fields in order as little-endian float64s, tuples flattened."""
-        digest, names = hashlib.sha256(), [f.name for f in fields(DriverProfile)][1:]
+        digest, names = sha256(), [f.name for f in fields(DriverProfile)][1:]
         for p in self.profiles:
             cells = [getattr(p, name) for name in names]
             flat = [x for c in cells for x in (c if isinstance(c, tuple) else (c,))]

@@ -358,6 +358,20 @@ class TestScoreAndPremium:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_exits_1_naming_it(self, small_pop, tmp_path, capsys,
+                                                      value):
+        """json writes and reads NaN and Infinity; a model holding one would
+        score every row as an empty probability cell."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"target": "any", "columns": ["intercept", "mileage"],
+                                    "coef": {"intercept": -1.0, "mileage": value}}))
+        assert run_cli("score", "--model", path, "--features", small_pop / "features.csv",
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: coefficient of mileage is not a finite number: {value}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_target_with_model_file_exits_4_before_reading_it(self, small_pop, tmp_path,
                                                                capsys):
         """The file's own target is what gets scored, so a --target beside it is

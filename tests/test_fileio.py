@@ -1,10 +1,11 @@
-"""Atomic file writes, number formatting and CSV reading."""
+"""Atomic file writes, digests, number formatting and CSV reading."""
+import hashlib
 import os
 import stat
 
 import pytest
 
-from drivescore.fileio import atomic_files, fmt_float, iter_csv_records
+from drivescore.fileio import atomic_files, fmt_float, iter_csv_records, sha256_digest
 
 
 class Boom(Exception):
@@ -58,6 +59,15 @@ def test_files_written_together_replace_their_paths_together(tmp_path):
         assert not hourly.exists()
     assert (hourly.read_bytes(), trips.read_bytes()) == (b"hour 1\n", b"trip 1\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hourly.csv", "trips.csv"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 16, (1 << 16) + 1])
+def test_digest_is_hashlibs_sha256(tmp_path, size):
+    """The built-in SHA-256 gives hashlib's digest, on either side of the
+    64 KiB read chunk."""
+    data = os.urandom(size)
+    (tmp_path / "f").write_bytes(data)
+    assert sha256_digest(tmp_path / "f") == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

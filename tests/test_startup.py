@@ -4,6 +4,12 @@ Every command runs as a process of its own, so the layers it imports are
 start-up time it pays on every call.  Each command below runs as
 ``python -X importtime -m drivescore ...`` on small inputs; the import log
 names every module the process loaded.
+
+Digests use CPython's built-in SHA-256 (``fileio.sha256``), so no command
+loads OpenSSL's libcrypto, 3.6 MB of resident memory, through ``hashlib``.
+synth, fit and evaluate still load it: they draw from ``numpy.random``,
+whose ``bit_generator`` imports ``secrets``, which imports ``hmac``, which
+imports ``_hashlib``.
 """
 import os
 import subprocess
@@ -18,6 +24,7 @@ from conftest import run_cli
 SRC = Path(drivescore.__file__).resolve().parents[1]
 
 NUMPY_FREE = ("parse", "label", "premium", "--help")
+NUMPY_RANDOM = ("synth", "fit", "evaluate")  # each imports _hashlib through numpy.random
 
 
 @pytest.fixture(scope="module")
@@ -74,5 +81,6 @@ def test_command_imports_only_what_it_calls(inputs, tmp_path, command):
     assert "drivescore.cli" in modules
     assert ("numpy" in modules) is (command not in NUMPY_FREE)
     assert "numpy.ma" not in modules  # 10-15 ms to import, and nothing calls it
+    assert ("_hashlib" in modules) is (command in NUMPY_RANDOM)
     assert ("drivescore.synthgen" in modules) is (command == "synth")
     assert ("drivescore.trips" in modules) is (command in {"synth", "aggregate", "features"})
