@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from datetime import timezone
 from importlib import resources
 from pathlib import Path
@@ -245,14 +246,31 @@ def cmd_label(ns) -> int:
 
 
 def _read_model_inputs(ns):
-    """The feature table, the claims, and both files' digests for provenance."""
+    """The feature table, the claims, and both files' digests for provenance.
+
+    A claim is a fact about a device's whole history, so the model's unit is
+    the device: a device with more than one feature row is refused, and the
+    claims whose device has no feature row are counted on stderr.
+    """
     from .features import read_feature_table
 
     features_path = _require(ns.features, "features CSV")
     claims_path = _require(ns.claims, "claims CSV")
     inputs = {"features": sha256_digest(features_path),
               "claims": sha256_digest(claims_path)}
-    return read_feature_table(features_path), _read_claims(claims_path), inputs
+    table = read_feature_table(features_path)
+    rows = Counter(table.device_ids)
+    for device, n in rows.items():
+        if n > 1:
+            raise ValueError(f"{features_path}: device {device} has {n} feature rows; "
+                             "model commands need one row per device "
+                             "(features --window lifetime)")
+    claims = _read_claims(claims_path)
+    unjoined = sum(c.device not in rows for c in claims)
+    if unjoined:
+        print(f"note: {unjoined} of {len(claims)} claims name a device with no "
+              "feature row and are not used", file=sys.stderr)
+    return table, claims, inputs
 
 
 def _build_design(table, claims, target):

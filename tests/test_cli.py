@@ -466,6 +466,60 @@ class TestFitAndReport:
         assert all(r["group"] == "mileage avg_sp" for r in rows)
 
 
+MODEL_COMMANDS = ("fit", "evaluate", "ablate", "report")
+
+
+class TestModelUnitIsTheDevice:
+    """A claim has no date, so the model commands take one feature row per
+    device and count the claims they cannot join."""
+
+    @pytest.fixture(scope="class")
+    def weekly(self, small_pop, tmp_path_factory):
+        d = tmp_path_factory.mktemp("weekly")
+        assert run_cli("aggregate", "--events", small_pop / "events.jsonl", "--out-dir", d) == 0
+        assert run_cli("features", "--hourly", d / "hourly.csv", "--trips", d / "trips.csv",
+                       "--window", "weekly", "--out-dir", d) == 0
+        return d / "features.csv"
+
+    @pytest.fixture(scope="class")
+    def book(self, tmp_path_factory):
+        """A lifetime book every target fits on: the CI model chain's."""
+        d = tmp_path_factory.mktemp("book")
+        assert run_cli("synth", "--n", 400, "--weeks", 8, "--seed", 0, "--out-dir", d) == 0
+        return d
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_weekly_features_exit_1(self, small_pop, weekly, tmp_path, capsys, command):
+        devices = [r["device"] for r in rows_of(weekly)]
+        first, n = devices[0], devices.count(devices[0])
+        assert n > 1
+        out = tmp_path / "out"
+        assert run_cli(command, "--features", weekly, "--claims", small_pop / "claims.csv",
+                       "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {weekly}: device {first} has {n} feature rows; model commands need "
+            "one row per device (features --window lifetime)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_claims_without_a_feature_row_are_counted(self, book, tmp_path, capsys, command):
+        claims = tmp_path / "claims.csv"
+        rows = (book / "claims.csv").read_text(encoding="utf-8")
+        claims.write_text(rows + "ghost-1,100.0,1000.0,1\nghost-2,0.0,1000.0,0\n",
+                          encoding="utf-8")
+        n = len(rows_of(claims))
+        assert run_cli(command, "--features", book / "features.csv", "--claims", claims,
+                       "--out-dir", tmp_path / "out") == 0
+        assert capsys.readouterr().err == (f"note: 2 of {n} claims name a device with no "
+                                           "feature row and are not used\n")
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_joined_claims_print_no_note(self, book, tmp_path, capsys, command):
+        assert run_cli(command, "--features", book / "features.csv",
+                       "--claims", book / "claims.csv", "--out-dir", tmp_path) == 0
+        assert capsys.readouterr().err == ""
+
+
 def _csv_sample(src, dst, n_rows=10, drop=None, **cells):
     """First rows of a CSV artifact, with one column dropped or row 3 edited."""
     with open(src, newline="", encoding="utf-8") as f:

@@ -8,7 +8,7 @@ import pytest
 
 from drivescore.glm import (MAX_ITER, CollinearityError, DesignMatrix, FittedModel,
                             MissingFeatureError, SeparationError,
-                            SingleClassError, backward_eliminate,
+                            SingleClassError, _projected_start, backward_eliminate,
                             fit_logistic, mcfadden_r2, scoring_model,
                             model_to_dict, predict_proba, wald_pvalue)
 from drivescore.labeling import compute_premium
@@ -180,6 +180,94 @@ class TestBackwardElimination:
         d = design([[0.0], [1.0]], [0, 1])
         with pytest.raises(ValueError):
             backward_eliminate(d, alpha=0.0)
+
+
+def _cold_elimination(d, alpha):
+    """Backward elimination with every round's fit started from zero: the
+    dropped columns in order, the final fit and the Newton steps of all rounds."""
+    dropped, steps = [], 0
+    while True:
+        m = fit_logistic(d)
+        steps += m.n_iter
+        p_eff = [1.0 if math.isnan(p) else p for p in m.p_values[1:]]
+        if not p_eff or max(p_eff) <= alpha:
+            return dropped, m, steps
+        dropped.append(m.columns[1 + p_eff.index(max(p_eff))])
+        d = d.drop([dropped[-1]])
+
+
+def _seeded_design(seed):
+    """400-2,000 rows of 8-15 raw-unit columns: three with an effect, the rest
+    null, and one near-collinear pair (correlation about 0.9995)."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(400, 2001)), int(rng.integers(8, 16))
+    X = rng.normal(size=(n, k)) * rng.choice([1.0, 10.0, 300.0], size=k) + rng.normal(size=k)
+    X[:, 1] = X[:, 0] + 0.03 * np.std(X[:, 0]) * rng.normal(size=n)
+    eta = -1.0 + (X[:, 0] - X[:, 0].mean()) / X[:, 0].std() \
+        + 0.5 * (X[:, 2] - X[:, 2].mean()) / X[:, 2].std() \
+        - 0.4 * (X[:, 3] - X[:, 3].mean()) / X[:, 3].std()
+    y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(int)
+    return design(X, y)
+
+
+class TestWarmStartedElimination:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_elimination_from_zero(self, seed):
+        d = _seeded_design(seed)
+        dropped, cold, _ = _cold_elimination(d, 0.05)
+        warm = backward_eliminate(d, 0.05)
+        assert [step.column for step in warm.elimination] == dropped
+        assert warm.columns == cold.columns
+        np.testing.assert_allclose(warm.coef, cold.coef, rtol=1e-8, atol=0)
+        assert 0 < len(dropped) < len(d.feature_names)
+
+    def test_takes_under_half_the_steps_from_zero(self):
+        """Over the six designs the projected starts took 128 steps against 285
+        from zero; a start that only deletes the dropped entry took 169."""
+        warm_steps = cold_steps = 0
+        for seed in range(6):
+            d = _seeded_design(seed)
+            warm = backward_eliminate(d, 0.05)
+            warm_steps += warm.n_iter + sum(step.n_iter for step in warm.elimination)
+            cold_steps += _cold_elimination(d, 0.05)[2]
+        assert 2 * warm_steps <= cold_steps
+
+    def test_path_records_each_round(self):
+        d = _seeded_design(0)
+        m = backward_eliminate(d, 0.05)
+        assert m.elimination[0].n_iter == fit_logistic(d).n_iter  # the first round starts from zero
+        assert all(step.p_value > 0.05 for step in m.elimination)
+        assert sorted(m.columns[1:] + tuple(s.column for s in m.elimination)) == \
+            sorted(d.feature_names)
+        assert model_to_dict(m)["elimination"] == [s._asdict() for s in m.elimination]
+        assert fit_logistic(d).elimination == ()
+
+    def test_projection_is_the_quadratic_optimum_with_the_column_at_zero(self):
+        beta = np.array([1.0, 2.0, -3.0])
+        cov = np.array([[2.0, 0.5, 0.2], [0.5, 1.0, -0.4], [0.2, -0.4, 4.0]])
+        start = _projected_start(beta, cov, 1)
+        info = np.linalg.inv(cov)
+        # the gradient of (b - beta)' info (b - beta) at the start, entry 1 set to zero,
+        # vanishes on the kept entries
+        b = np.insert(start, 1, 0.0)
+        np.testing.assert_allclose(np.delete(info @ (b - beta), 1), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cov_jj, inf_entry", [
+        (0.0, False), (-1.0, False), (float("nan"), False), (float("inf"), False),
+        (1.0, True)])
+    def test_falls_back_to_plain_deletion(self, cov_jj, inf_entry):
+        beta = np.array([0.5, -1.5, 2.5])
+        cov = np.eye(3) + 0.1
+        cov[2, 2] = cov_jj
+        if inf_entry:
+            cov[0, 2] = float("inf")
+        np.testing.assert_array_equal(_projected_start(beta, cov, 2), [0.5, -1.5])
+
+    def test_starting_at_the_optimum_takes_no_step(self):
+        d = _seeded_design(2)
+        m = fit_logistic(d)
+        again = fit_logistic(d, start=np.array(m.coef))
+        assert again.n_iter == 0 and again.coef == m.coef
 
 
 class TestPredictProba:

@@ -1,5 +1,5 @@
-"""Pinned discrete outcomes of the model path: which columns each fit keeps,
-how many IRLS steps it takes, how the rows split.
+"""Pinned discrete outcomes of the model path: which columns each fit keeps
+and drops in what order, how many IRLS steps it takes, how the rows split.
 
 These are counts, names and index sets, not model-JSON digests: IRLS runs
 through BLAS matrix products, whose last bits may differ between machines.
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from drivescore.evaluation import SplitSpec, split_indices
+from drivescore.features import MODEL_FEATURE_NAMES
 
 from conftest import csv_rows, run_cli
 
@@ -19,12 +20,34 @@ SINGLE_CLASS_NOTE = "test partition single-class; out-of-sample AUC undefined"
 # target: (columns, n_iter, converged, flagged, dropped_columns, eval_report note)
 FIT_PINS = {
     "any": (["const", "trips_day", "over_400", "avg_trip_mil", "d_business_m",
-             "max_sp", "a1", "a2"], 5, True, [], [], ""),
-    "weak": (["const", "d_total_m", "d_business_m"], 6, True, [], [], ""),
-    "medium": (["const", "d_day_m", "a1"], 7, True, [], [], SINGLE_CLASS_NOTE),
+             "max_sp", "a1", "a2"], 3, True, [], [], ""),
+    "weak": (["const", "d_total_m", "d_business_m"], 3, True, [], [], ""),
+    "medium": (["const", "d_day_m", "a1"], 3, True, [], [], SINGLE_CLASS_NOTE),
     "strong": (["const", "trips_day", "below_30_pr", "over_200", "over_400",
                 "avg_trip_mil", "avg_trip_dur", "d_evening_jam_m", "ej_m_pr",
-                "avg_sp", "max_n_sp"], 8, True, [], [], ""),
+                "avg_sp", "max_n_sp"], 3, True, [], [], ""),
+}
+
+# target: the columns backward elimination dropped, in drop order
+ELIMINATION_PINS = {
+    "any": """s2 max_ej_sp d_evening_jam_m m_pr_over_130 avg_trip_dur below_30_pr
+              m_pr_over_100 a3 below_10_pr over_200 s3 mileage ej_m_pr m_pr_below_20
+              m_pr_below_60 avg_sp max_n_sp s1 d1 max_mj_sp day_m_pr d_day_m d_night_m
+              d3 d_morning_jam_m d_holi_m d_total_m d2""".split(),
+    "weak": """d1 below_30_pr max_mj_sp s3 mileage trips_day avg_trip_dur max_ej_sp
+               over_200 max_n_sp m_pr_over_100 day_m_pr m_pr_over_130 d_night_m d_day_m
+               ej_m_pr d_evening_jam_m avg_sp m_pr_below_20 a2 m_pr_below_60 max_sp
+               d_morning_jam_m s2 below_10_pr s1 d3 avg_trip_mil over_400 d_holi_m a3
+               a1 d2""".split(),
+    "medium": """s3 d_business_m mileage m_pr_over_130 m_pr_over_100 over_400 s1
+                 m_pr_below_60 avg_trip_mil below_30_pr ej_m_pr d_evening_jam_m d_total_m
+                 s2 avg_sp m_pr_below_20 max_mj_sp d1 d_holi_m a2 d3 a3 d2 d_night_m
+                 max_ej_sp max_n_sp avg_trip_dur below_10_pr day_m_pr over_200
+                 d_morning_jam_m max_sp trips_day""".split(),
+    "strong": """d1 max_sp a1 m_pr_below_60 s1 s3 a3 d3 d_total_m a2 d_night_m
+                 below_10_pr m_pr_over_100 s2 m_pr_over_130 d_morning_jam_m max_mj_sp
+                 d_business_m day_m_pr d_holi_m d_day_m mileage d2 max_ej_sp
+                 m_pr_below_20""".split(),
 }
 
 
@@ -44,6 +67,9 @@ def test_fit_outcomes(ci_fit, target):
     model = json.loads((ci_fit / f"model_{target}.json").read_text())
     assert (model["columns"], model["n_iter"], model["converged"], model["flagged"],
             model["dropped_columns"]) == (columns, n_iter, converged, flagged, dropped)
+    assert [step["column"] for step in model["elimination"]] == ELIMINATION_PINS[target]
+    assert sorted(model["columns"][1:] + ELIMINATION_PINS[target] + dropped) == \
+        sorted(MODEL_FEATURE_NAMES)
     row, = [r for r in csv_rows(ci_fit / "eval_report.csv") if r["target"] == target]
     assert (row["n_train"], row["n_test"], row["note"]) == ("360", "40", note)
 
