@@ -366,17 +366,13 @@ def _load_scoring_model(ns):
 
 
 def cmd_score(ns) -> int:
-    import numpy as np
-
     from .features import FEATURE_NAMES, read_feature_table
     from .glm import predict_proba
 
     features_path = _require(ns.features, "features CSV")
     model, model_digest = _load_scoring_model(ns)
     table = read_feature_table(features_path)
-    # one matrix-vector product; an intercept-only model gives one shared value
-    probs = np.broadcast_to(predict_proba(model, dict(zip(FEATURE_NAMES, table.values.T))),
-                            (len(table.device_ids),))
+    probs = predict_proba(model, table.values, FEATURE_NAMES)
     rows = list(zip(table.device_ids, table.window_kinds, table.window_starts, probs.tolist()))
     prov = provenance_line(None, {"features": sha256_digest(features_path),
                                   "model": model_digest})
@@ -416,8 +412,9 @@ def cmd_ablate(ns) -> int:
     from .features import FEATURE_GROUPS, MODEL_FEATURE_NAMES
 
     group_spec = _opt(ns, "group", str, "accel")
-    names = [g.strip() for g in group_spec.split(",") if g.strip()]
-    if group_spec not in FEATURE_GROUPS:
+    names = FEATURE_GROUPS.get(group_spec)
+    if names is None:
+        names = [g.strip() for g in group_spec.split(",") if g.strip()]
         if not names:
             raise ConfigError(f"group names no feature: {group_spec!r}")
         unknown = [n for n in names if n not in MODEL_FEATURE_NAMES]
@@ -428,14 +425,15 @@ def cmd_ablate(ns) -> int:
     results = []
     for target in TARGETS:
         design, _ = _build_design(table, claims, target)
-        if group_spec in FEATURE_GROUPS:
-            group = [n for n in FEATURE_GROUPS[group_spec] if n in design.feature_names]
-        else:
-            group = names
+        group = [n for n in names if n in design.feature_names]  # the same for every target
         results.append(ablation_compare(design, target, group))
         if not group:  # raised after the fits, so a degenerate design still exits 3
             raise ValueError(f"feature group {group_spec!r}: every column was "
                              "dropped as constant")
+    skipped = [n for n in names if n not in group]
+    if skipped:
+        print(f"note: feature group {group_spec!r}: dropped as constant and not ablated: "
+              f"{', '.join(skipped)}", file=sys.stderr)
     write_csv(ns.out_dir / "ablation.csv", AblationResult._fields, results,
               provenance_line(None, inputs))
     for r in results:

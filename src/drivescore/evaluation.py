@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .glm import DesignMatrix, FittedModel, fit_logistic, mcfadden_r2, _sigmoid
+from .glm import DesignMatrix, FittedModel, fit_logistic, mcfadden_r2, probabilities
 from .labeling import EstimationError
 
 
@@ -104,11 +104,6 @@ def split_indices(n: int, spec: SplitSpec,
     return np.flatnonzero(mask), test
 
 
-def _scores(model, design: DesignMatrix) -> np.ndarray:
-    eta = design.X @ np.asarray(model.coef)
-    return _sigmoid(eta)
-
-
 def evaluate_model(design: DesignMatrix, target: str, spec: SplitSpec,
                    ) -> tuple[EvalReport, FittedModel]:
     """Fit on the train partition, report AUC in and out of sample.
@@ -124,10 +119,10 @@ def evaluate_model(design: DesignMatrix, target: str, spec: SplitSpec,
     model = fit_logistic(train, target=target)
     null = fit_logistic(train.intercept_only(), target=target)
     r2 = mcfadden_r2(model.log_likelihood, null.log_likelihood)
-    auc_in = roc_auc(_scores(model, train), train.y.astype(int))
+    auc_in = roc_auc(probabilities(train.X, model.coef), train.y.astype(int))
     note = ""
     try:
-        auc_out = roc_auc(_scores(model, test), test.y.astype(int))
+        auc_out = roc_auc(probabilities(test.X, model.coef), test.y.astype(int))
     except DegenerateLabelsError:
         auc_out = None
         note = "test partition single-class; out-of-sample AUC undefined"

@@ -15,6 +15,10 @@ with beta_j held at zero (cov is the inverse information behind the standard
 errors).  On ``synth --n 5000 --weeks 26`` seeds 0-2 the four targets'
 eliminations take 227/231/237 Newton steps, against 682/667/701 from zero,
 and keep the same columns.  Every other fit starts from zero.
+
+``probabilities`` is the one path from coefficients to probabilities:
+``predict_proba`` matches a model's columns to a feature matrix for ``score``
+and synth's planted risk, and ``evaluate`` scores its designs in place.
 """
 from __future__ import annotations
 
@@ -297,31 +301,32 @@ def wald_pvalue(coef: float, se: float) -> float:
     return math.erfc(z / math.sqrt(2.0))
 
 
-def predict_proba(model, features: Mapping[str, float | np.ndarray]):
-    """Accident probability from a mapping of feature name to value or column.
+def probabilities(X: np.ndarray, coef: Sequence[float]) -> np.ndarray:
+    """The logistic of ``X @ coef``, one probability per row of a design whose
+    first column is the intercept's ones, clamped into the open interval (0, 1)."""
+    return np.clip(_sigmoid(X @ np.asarray(coef, dtype=float)), math.ulp(0.0), 1.0 - 2.0 ** -53)
+
+
+def predict_proba(model, values: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """One accident probability per row of ``values``, whose columns ``names`` names.
 
     Works for any model whose ``columns`` (intercept first) and ``coef``
-    give the linear predictor.  Every model feature must be
-    present and finite; nothing is imputed.  Scalar values give one float;
-    equal-length columns give an array with one probability per row, from one
-    matrix-vector product (an intercept-only model gives a float either way).
-    Results are clamped into the open interval (0, 1).
+    give the linear predictor.  Every model feature must be a column of
+    ``values`` and finite in every row; nothing is imputed.  An
+    intercept-only model gives every row the same probability.
     """
-    names = model.columns[1:]
-    missing = [n for n in names if n not in features]
+    index = {name: j for j, name in enumerate(names)}
+    features = model.columns[1:]
+    missing = [n for n in features if n not in index]
     if missing:
         raise MissingFeatureError(missing)
-    cols = [np.asarray(features[n], dtype=float) for n in names]
-    for name, col in zip(names, cols):
-        if not np.all(np.isfinite(col)):
+    X = np.empty((len(values), len(features) + 1))
+    X[:, 0] = 1.0
+    for j, name in enumerate(features, start=1):
+        X[:, j] = values[:, index[name]]
+        if not np.all(np.isfinite(X[:, j])):
             raise ValueError(f"feature {name!r} is not finite")
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
-    X = np.ones(shape + (len(names) + 1,))
-    for j, col in enumerate(cols, start=1):
-        X[..., j] = col
-    p = np.clip(_sigmoid(np.atleast_1d(X @ np.asarray(model.coef))),
-                math.ulp(0.0), 1.0 - 2.0 ** -53)
-    return float(p[0]) if shape == () else p
+    return probabilities(X, model.coef)
 
 
 def check_alpha(alpha: float) -> float:
@@ -411,12 +416,17 @@ class ScoringModel(NamedTuple):
 
 def scoring_model(target: str, d: Mapping) -> ScoringModel:
     """The scoring model of a ``model_to_dict`` payload or a bundle entry:
-    its ``columns``, a finite number in ``coef`` for each, and ``non_scorable``."""
+    its ``columns``, ``const`` first and none twice, a finite number in
+    ``coef`` for each, and ``non_scorable``."""
     cols = tuple(d["columns"])
     coef = tuple(float(d["coef"][c]) for c in cols)
     for c, b in zip(cols, coef):
         if not math.isfinite(b):
             raise ValueError(f"coefficient of {c} is not a finite number: {b}")
+    if cols[:1] != (INTERCEPT_NAME,):
+        raise ValueError(f"columns must start with {INTERCEPT_NAME!r}: {list(cols)}")
+    if len(set(cols)) < len(cols):
+        raise ValueError(f"columns name a column more than once: {list(cols)}")
     return ScoringModel(target, cols, coef, tuple(d.get("non_scorable", ())))
 
 

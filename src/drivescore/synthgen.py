@@ -30,6 +30,7 @@ from .bands import ACCEL_BAND_NAMES
 from .features import (DAYTIME_HOURS, EVENING_JAM_HOURS, FEATURE_NAMES, MORNING_JAM_HOURS,
                        NIGHT_HOURS, TRIP_LONG_KM, TRIP_SHORT_KM, FeatureTable, feature_matrix)
 from .fileio import sha256
+from .glm import INTERCEPT_NAME, ScoringModel, predict_proba
 from .ingest import (ACCELERATION, IGNITION_OFF, IGNITION_ON, LATERAL, LONGITUDINAL,
                      POSITION, SPEED, DeviceLog, DeviceLogBuilder, epoch_seconds)
 from .trips import EARTH_RADIUS_KM
@@ -353,23 +354,13 @@ def oracle_features(profile: DriverProfile, weeks: int) -> dict[str, float]:
     )
 
 
-def _logistic(eta: float) -> float:
-    return 1.0 / (1.0 + math.exp(-eta)) if eta >= 0 else math.exp(eta) / (1.0 + math.exp(eta))
-
-
 def planted_probabilities(features: FeatureTable, beta: Mapping[str, float]) -> list[float]:
-    """Each row's planted accident probability under one target's ``beta``.
-
-    The log-odds add ``coef * column`` in ``beta``'s order, the order a
-    scalar sum over one driver would take, and the logistic runs through
-    ``math.exp`` per driver, so every probability is the scalar one to the
-    last bit.
-    """
-    columns = dict(zip(FEATURE_NAMES, features.values.T))
-    eta = 0.0
-    for name, coef in beta.items():
-        eta = eta + (coef if name == "const" else coef * columns[name])
-    return [_logistic(e) for e in np.broadcast_to(eta, len(features)).tolist()]
+    """Each row's planted accident probability under one target's ``beta``,
+    scored as a fitted model's file is: ``const`` first, then the other
+    columns in ``beta``'s order."""
+    columns = (INTERCEPT_NAME, *(name for name in beta if name != INTERCEPT_NAME))
+    model = ScoringModel("planted", columns, tuple(beta[name] for name in columns))
+    return predict_proba(model, features.values, FEATURE_NAMES).tolist()
 
 
 def _insured_sum(rng: np.random.Generator) -> float:

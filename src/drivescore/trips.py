@@ -295,19 +295,27 @@ def _finite(record, first: int):
     return record
 
 
+def _instant(column: str, cell: str) -> datetime:
+    """``cell``, which must carry its UTC offset, or it would be read in the machine's zone."""
+    t = datetime.fromisoformat(cell)
+    if t.tzinfo is None:
+        raise ValueError(f"{column} has no UTC offset: {cell}")
+    return t
+
+
 def hourly_from_row(cells: Sequence[str]) -> HourlyRecord:
     """The record of one row's cells in ``HOURLY_CSV_COLUMNS`` order."""
-    return _finite(HourlyRecord(cells[0], datetime.fromisoformat(cells[1]), float(cells[2]),
+    return _finite(HourlyRecord(cells[0], _instant("hour_start", cells[1]), float(cells[2]),
                                 float(cells[3]), *map(int, cells[4:13]),
                                 *map(float, cells[13:])), 2)
 
 
 def trip_from_row(cells: Sequence[str]) -> Trip:
-    """The trip of one row's cells in ``TRIP_CSV_COLUMNS`` order, if its numbers are
-    finite, it ends after it starts, its ``duration_s`` agrees with its start and
-    end, and its mileage is not negative."""
+    """The trip of one row's cells in ``TRIP_CSV_COLUMNS`` order, if its times carry
+    their UTC offsets, its numbers are finite, it ends after it starts, its
+    ``duration_s`` agrees with its start and end, and its mileage is not negative."""
     device, start, end, *numbers = cells
-    trip = _finite(Trip(device, datetime.fromisoformat(start), datetime.fromisoformat(end),
+    trip = _finite(Trip(device, _instant("start", start), _instant("end", end),
                         *map(float, numbers)), 3)
     if trip.end <= trip.start:
         raise ValueError("trip must end after it starts")

@@ -353,15 +353,16 @@ def test_criterion_09_reference_model_scoring(tmp_path):
     # unit increment in any retained feature shifts the log-odds by exactly
     # the published coefficient
     worst_shift = 0.0
-    zeros = {n: 0.0 for n in FEATURE_NAMES}
+    zeros = np.zeros((1, len(FEATURE_NAMES)))
     for model in load_reference_models().values():
-        p0 = predict_proba(model, zeros)
+        (p0,) = predict_proba(model, zeros, FEATURE_NAMES)
         for name, coef in zip(model.columns, model.coef):
             if name == "const":
                 continue
-            bumped = dict(zeros)
-            bumped[name] = 1.0
-            shift = _logit(predict_proba(model, bumped)) - _logit(p0)
+            bumped = zeros.copy()
+            bumped[0, FEATURE_NAMES.index(name)] = 1.0
+            (p1,) = predict_proba(model, bumped, FEATURE_NAMES)
+            shift = _logit(p1) - _logit(p0)
             worst_shift = max(worst_shift, abs(shift - coef))
     _line(9, "reference model scoring", base_err <= 1e-6 and worst_shift <= 1e-12,
           f"p(zero)={got:.6f} vs 1/(1+e^2.880) err={base_err:.2e}; "

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import tracemalloc
+from datetime import datetime
 from itertools import dropwhile
 
 import pytest
@@ -315,7 +316,8 @@ class TestScoreAndPremium:
                        "--features", small_pop / "features.csv",
                        "--out-dir", tmp_path) == 0
         features = rows_of(small_pop / "features.csv")
-        want = predict_proba(model, {"mileage": [float(r["mileage"]) for r in features]})
+        want = predict_proba(model, np.array([[float(r["mileage"])] for r in features]),
+                             ("mileage",))
         assert [(r["device"], r["probability"]) for r in rows_of(tmp_path / "scores.csv")] == \
             [(r["device"], fmt_float(p)) for r, p in zip(features, want)]
 
@@ -370,6 +372,23 @@ class TestScoreAndPremium:
                        "--out-dir", tmp_path / "out") == 1
         assert capsys.readouterr().err == \
             f"error: {path}: coefficient of mileage is not a finite number: {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("columns, coef, reason", [
+        (["mileage", "avg_sp"], {"mileage": -2.0, "avg_sp": 0.01},
+         "columns must start with 'const': ['mileage', 'avg_sp']"),
+        (["const", "avg_sp", "avg_sp"], {"const": -2.0, "avg_sp": 0.01},
+         "columns name a column more than once: ['const', 'avg_sp', 'avg_sp']"),
+    ])
+    def test_model_columns_start_with_const_and_name_each_once(self, small_pop, tmp_path,
+                                                               capsys, columns, coef, reason):
+        """Scoring takes the first column as the intercept and adds one term per
+        column, so any other first column or a repeated one would misprice."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"target": "any", "columns": columns, "coef": coef}))
+        assert run_cli("score", "--model", path, "--features", small_pop / "features.csv",
+                       "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     def test_target_with_model_file_exits_4_before_reading_it(self, small_pop, tmp_path,
@@ -646,6 +665,27 @@ class TestNonFiniteRecordCells:
         assert not (tmp_path / "out").exists()
 
 
+class TestTimestampWithoutOffset:
+    @pytest.mark.parametrize("window", ["weekly", "lifetime"])
+    @pytest.mark.parametrize("name, column", [("hourly.csv", "hour_start"),
+                                              ("trips.csv", "start"), ("trips.csv", "end")])
+    def test_exits_1_naming_the_row(self, small_pop_aggregate, tmp_path, capsys,
+                                    name, column, window):
+        """A local time without its offset would be read in the machine's zone,
+        so the windows a row falls in would depend on where features runs."""
+        stamp = datetime.fromisoformat(rows_of(small_pop_aggregate / name)[2][column])
+        naive = stamp.replace(tzinfo=None).isoformat()
+        bad = _csv_sample(small_pop_aggregate / name, tmp_path / name, **{column: naive})
+        files = {"hourly.csv": small_pop_aggregate / "hourly.csv",
+                 "trips.csv": small_pop_aggregate / "trips.csv", name: bad}
+        capsys.readouterr()
+        assert run_cli("features", "--hourly", files["hourly.csv"], "--trips", files["trips.csv"],
+                       "--window", window, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: data row 3: {column} has no UTC offset: {naive}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestBadProbability:
     @pytest.mark.parametrize("probability", ["nan", "1.5"])
     def test_names_the_row(self, tmp_path, capsys, probability):
@@ -842,7 +882,26 @@ class TestErrorPaths:
                        "--claims", small_pop / "claims.csv", "--group", "over_400",
                        "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err == \
-            "error: feature group not in design: ['over_400']\n"
+            "error: feature group 'over_400': every column was dropped as constant\n"
+
+    @pytest.mark.parametrize("group, rest", [("accel", "a1,a2,a3,d1,d2,d3,s1,s2"),
+                                             ("a1,s3", "a1")])
+    def test_constant_group_column_is_skipped_with_a_note(self, tmp_path, capsys, group, rest):
+        """A named group and a list of names follow one rule: the columns the design
+        has are ablated, and one note names those skipped as constant."""
+        assert run_cli("synth", "--n", 400, "--weeks", 8, "--seed", 0,
+                       "--out-dir", tmp_path / "book") == 0
+        features = self._zeroed(tmp_path / "book" / "features.csv", tmp_path / "features.csv",
+                                ["s3"])
+        for spec, out in ((group, "named"), (rest, "rest")):
+            capsys.readouterr()
+            assert run_cli("ablate", "--features", features,
+                           "--claims", tmp_path / "book" / "claims.csv", "--group", spec,
+                           "--out-dir", tmp_path / out) == 0
+            assert capsys.readouterr().err == ("" if spec == rest else
+                f"note: feature group {group!r}: dropped as constant and not ablated: s3\n")
+        assert (tmp_path / "named" / "ablation.csv").read_bytes() == \
+            (tmp_path / "rest" / "ablation.csv").read_bytes()
 
     def test_ablation_group_all_constant_exits_1(self, small_pop, tmp_path, capsys):
         """A named group whose every column was dropped as constant has nothing

@@ -9,7 +9,7 @@ from drivescore.evaluation import (AblationResult, DegenerateLabelsError,
                                    SplitSpec, ablation_compare,
                                    correlation_matrix, descriptive_stats,
                                    evaluate_model, roc_auc, split_indices)
-from drivescore.glm import DesignMatrix
+from drivescore.glm import DesignMatrix, predict_proba
 
 
 class TestRocAuc:
@@ -117,6 +117,19 @@ class TestEvaluateModel:
         report, _ = evaluate_model(d, "any", SplitSpec(0.2, seed=5))
         assert report.auc_in_sample > 0.7
         assert abs(report.auc_in_sample - report.auc_out_of_sample) < 0.15
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_aucs_score_the_rows_as_predict_proba_does(self, stratify):
+        """Both AUCs rank the probabilities ``predict_proba`` gives the train and
+        test rows' feature values, to the last bit."""
+        d = _planted_design(n=500, seed=31)
+        spec = SplitSpec(0.2, seed=7, stratify=stratify)
+        report, model = evaluate_model(d, "any", spec)
+        train, test = split_indices(d.n_obs, spec, d.y if stratify else None)
+        values = d.X[:, 1:]
+        for auc, rows in ((report.auc_in_sample, train), (report.auc_out_of_sample, test)):
+            probs = predict_proba(model, values[rows], d.feature_names)
+            assert auc == roc_auc(probs, d.y[rows].astype(int))
 
 
 class TestAblation:

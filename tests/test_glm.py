@@ -279,35 +279,36 @@ class TestPredictProba:
 
     def test_matches_manual_sigmoid(self):
         m = self._model()
-        p = predict_proba(m, {"a": 2.0, "b": 0.5})
+        (p,) = predict_proba(m, np.array([[2.0, 0.5]]), ("a", "b"))
         eta = -1.0 + 0.5 * 2.0 - 2.0 * 0.5
         assert p == pytest.approx(1 / (1 + math.exp(-eta)), rel=1e-15)
 
     def test_requires_every_feature(self):
         with pytest.raises(MissingFeatureError):
-            predict_proba(self._model(), {"a": 1.0})
+            predict_proba(self._model(), np.array([[1.0]]), ("a",))
 
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError):
-            predict_proba(self._model(), {"a": float("inf"), "b": 0.0})
+            predict_proba(self._model(), np.array([[float("inf"), 0.0]]), ("a", "b"))
 
     def test_columns_match_rows(self):
         m = self._model()
         rng = np.random.default_rng(5)
-        cols = {"a": rng.normal(0, 30, 200), "b": rng.normal(0, 30, 200)}
-        got = predict_proba(m, cols)
-        want = [predict_proba(m, {"a": a, "b": b}) for a, b in zip(cols["a"], cols["b"])]
+        values = rng.normal(0, 30, (200, 2))
+        got = predict_proba(m, values, ("a", "b"))
+        want = [predict_proba(m, row[None, :], ("a", "b"))[0] for row in values]
         assert got.shape == (200,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         const = FittedModel(target="any", columns=("const",), coef=(0.3,), se=(0.1,),
                             p_values=(0.0,), log_likelihood=-1.0, aic=4.0, n_obs=9,
                             converged=True, n_iter=3)
-        assert predict_proba(const, cols) == pytest.approx(1 / (1 + math.exp(-0.3)))
+        np.testing.assert_allclose(predict_proba(const, values, ("a", "b")),
+                                   np.full(200, 1 / (1 + math.exp(-0.3))), rtol=1e-15)
 
     def test_stays_inside_open_interval(self):
         m = self._model()
-        assert 0.0 < predict_proba(m, {"a": -1e4, "b": 1e4}) < 1.0
-        assert 0.0 < predict_proba(m, {"a": 1e4, "b": -1e4}) < 1.0
+        p = predict_proba(m, np.array([[-1e4, 1e4], [1e4, -1e4]]), ("a", "b"))
+        assert np.all((0.0 < p) & (p < 1.0))
 
 
 def test_mcfadden_r2():

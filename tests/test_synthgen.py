@@ -171,6 +171,15 @@ class TestPlantedTruth:
             eta = beta["const"] + sum(v * fv[k] for k, v in beta.items() if k != "const")
             assert p == pytest.approx(1 / (1 + math.exp(-eta)), rel=1e-12)
 
+    def test_planted_probability_does_not_depend_on_the_order_of_beta(self):
+        res = generate_population(small_config())
+        for beta in DEFAULT_PLANTED_BETAS.values():
+            const_last = {k: v for k, v in beta.items() if k != "const"}
+            const_last["const"] = beta["const"]
+            assert list(const_last)[-1] == "const"
+            assert planted_probabilities(res.features, const_last) == \
+                planted_probabilities(res.features, beta)
+
     def test_truth_payload(self):
         res = generate_population(small_config())
         truth = json.loads(json.dumps(res.truth()))
