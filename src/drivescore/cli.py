@@ -246,7 +246,7 @@ def cmd_label(ns) -> int:
 
 
 def _read_model_inputs(ns):
-    """The feature table, the claims, and both files' digests for provenance.
+    """The feature table, every target's labels and both files' digests for provenance.
 
     A claim is a fact about a device's whole history, so the model's unit is
     the device: a device with more than one feature row is refused, and the
@@ -270,61 +270,66 @@ def _read_model_inputs(ns):
     if unjoined:
         print(f"note: {unjoined} of {len(claims)} claims name a device with no "
               "feature row and are not used", file=sys.stderr)
-    return table, claims, inputs
+    return table, build_targets(claims, table.device_ids), inputs
 
 
-def _build_design(table, claims, target):
-    """Design over the model features that vary, plus the constant ones dropped."""
+def _designs(ns):
+    """Each target's design over the model features that vary, the names of the
+    constant ones dropped, and the input digests.  The designs share one
+    intercept-led, C-contiguous X, filled once column by column; the feature
+    table is freed before any fit."""
     import numpy as np
 
     from .features import MODEL_FEATURE_NAMES
     from .glm import DesignMatrix
 
-    y = build_targets(claims, table.device_ids, target)
+    table, labels, inputs = _read_model_inputs(ns)
     values = table.model_values
     constant = np.all(values == values[:1], axis=0)
     kept = np.flatnonzero(~constant)
-    design = DesignMatrix.from_columns([values[:, j] for j in kept], y,
-                                       [MODEL_FEATURE_NAMES[j] for j in kept])
-    return design, [n for n, c in zip(MODEL_FEATURE_NAMES, constant) if c]
+    X = np.empty((len(values), len(kept) + 1))
+    X[:, 0] = 1.0
+    for j, col in enumerate(kept, start=1):
+        X[:, j] = values[:, col]
+    names = tuple(MODEL_FEATURE_NAMES[j] for j in kept)
+    designs = {target: DesignMatrix(names, X, np.asarray(y, dtype=float))
+               for target, y in labels.items()}
+    return designs, [n for n, c in zip(MODEL_FEATURE_NAMES, constant) if c], inputs
 
 
-def _fit_targets(ns, write_models: bool):
-    """Backward elimination and the train/test report for every target.
-
-    Writes ``eval_report.csv`` and, with ``write_models``, one model JSON per
-    target; returns the reports.
-    """
-    from .evaluation import EvalReport, SplitSpec, evaluate_model
+def _fit_targets(ns):
+    """Backward elimination and the train/test report for every target: the
+    reports, each target's model payload and the report's provenance line."""
+    from .evaluation import SplitSpec, evaluate_model
     from .glm import backward_eliminate, check_alpha, model_to_dict
 
     alpha = _checked(check_alpha, _opt(ns, "alpha", float, 0.05))
     spec = _checked(SplitSpec, test_fraction=_opt(ns, "test_fraction", float, 0.10),
                     seed=_opt(ns, "seed", int, 0),
                     stratify=_opt(ns, "stratify", bool, False))
-    table, claims, inputs = _read_model_inputs(ns)
-    reports = []
-    for target in TARGETS:
-        design, dropped = _build_design(table, claims, target)
+    designs, dropped, inputs = _designs(ns)
+    reports, payloads = [], {}
+    for target, design in designs.items():
         model = backward_eliminate(design, alpha, target=target)
-        selected = design.drop([n for n in design.feature_names if n not in model.columns])
-        report, _ = evaluate_model(selected, target, spec)
-        reports.append(report)
-        if write_models:
-            payload = model_to_dict(model)
-            payload["alpha"] = alpha
-            payload["dropped_columns"] = dropped
-            payload["provenance"] = _provenance_obj(spec.seed, inputs)
-            _write_json(ns.out_dir / f"model_{target}.json", payload)
-        del design, selected, model  # so the next target's design is built alone
-    # csv writes None, an undefined out-of-sample AUC, as an empty cell
-    write_csv(ns.out_dir / "eval_report.csv", EvalReport._fields, reports,
-              provenance_line(spec.seed, inputs))
-    return reports
+        unused = [n for n in design.feature_names if n not in model.columns]
+        reports.append(evaluate_model(design.drop(unused), target, spec)[0])
+        payloads[target] = model_to_dict(model)
+        payloads[target].update(alpha=alpha, dropped_columns=dropped,
+                                provenance=_provenance_obj(spec.seed, inputs))
+    return reports, payloads, provenance_line(spec.seed, inputs)
 
 
 def cmd_fit(ns) -> int:
-    for r in _fit_targets(ns, write_models=True):
+    from .evaluation import EvalReport
+
+    reports, payloads, prov = _fit_targets(ns)
+    # the whole book or nothing: a failed fit leaves the out dir as it was
+    with atomic_files(*(ns.out_dir / f"model_{t}.json" for t in payloads),
+                      ns.out_dir / "eval_report.csv") as files:
+        for f, payload in zip(files, payloads.values()):
+            f.write(json.dumps(payload, indent=2) + "\n")
+        csv_row_writer(files[-1], EvalReport._fields, prov)(reports)
+    for r in reports:
         out = "n/a" if r.auc_out_of_sample is None else f"{r.auc_out_of_sample:.3f}"
         print(f"{r.target}: auc_in={r.auc_in_sample:.3f} auc_out={out} "
               f"r2={r.mcfadden_r2:.4f}")
@@ -332,7 +337,11 @@ def cmd_fit(ns) -> int:
 
 
 def cmd_evaluate(ns) -> int:
-    reports = _fit_targets(ns, write_models=False)
+    from .evaluation import EvalReport
+
+    reports, _, prov = _fit_targets(ns)
+    # csv writes None, an undefined out-of-sample AUC, as an empty cell
+    write_csv(ns.out_dir / "eval_report.csv", EvalReport._fields, reports, prov)
     print(f"wrote eval_report.csv for {len(reports)} targets")
     return 0
 
@@ -421,16 +430,15 @@ def cmd_ablate(ns) -> int:
         if unknown:
             raise ConfigError(f"group must be one of {sorted(FEATURE_GROUPS)} or model "
                               f"feature names; unknown: {', '.join(unknown)}")
-    table, claims, inputs = _read_model_inputs(ns)
+    designs, dropped, inputs = _designs(ns)
+    group = [n for n in names if n not in dropped]
     results = []
-    for target in TARGETS:
-        design, _ = _build_design(table, claims, target)
-        group = [n for n in names if n in design.feature_names]  # the same for every target
+    for target, design in designs.items():
         results.append(ablation_compare(design, target, group))
-        if not group:  # raised after the fits, so a degenerate design still exits 3
+        if not group:  # raised after the first target's fits, so a degenerate design exits 3
             raise ValueError(f"feature group {group_spec!r}: every column was "
                              "dropped as constant")
-    skipped = [n for n in names if n not in group]
+    skipped = [n for n in names if n in dropped]
     if skipped:
         print(f"note: feature group {group_spec!r}: dropped as constant and not ablated: "
               f"{', '.join(skipped)}", file=sys.stderr)
@@ -446,8 +454,8 @@ def cmd_report(ns) -> int:
     from .evaluation import correlation_matrix, descriptive_stats
     from .features import MODEL_FEATURE_NAMES
 
-    table, claims, inputs = _read_model_inputs(ns)
-    y = build_targets(claims, table.device_ids, "any")
+    table, labels, inputs = _read_model_inputs(ns)
+    y = labels["any"]
     names = list(MODEL_FEATURE_NAMES)
     values = table.model_values
     stats, notes = descriptive_stats(values, y)
@@ -477,6 +485,8 @@ def cmd_synth(ns) -> int:
     weeks = _opt(ns, "weeks", int, 26)
     seed = _opt(ns, "seed", int, 0)
     config = _checked(SynthConfig, n_drivers=n, weeks=weeks, seed=seed)
+    if ns.logs_limit is not None and not ns.logs:
+        raise ConfigError("logs_limit applies only with --logs")
     if ns.logs_limit is not None and ns.logs_limit < 0:
         raise ConfigError(f"logs_limit must be non-negative, got {ns.logs_limit}")
     result = generate_population(config)
@@ -567,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logs", action="store_true",
                    help="also write events.jsonl (large; prefer small --n)")
     p.add_argument("--logs-limit", dest="logs_limit", type=int, default=None,
-                   help="emit logs for the first K drivers only")
+                   help="with --logs, emit logs for the first K drivers only")
     return ap
 
 

@@ -264,8 +264,9 @@ def read_feature_table(path) -> FeatureTable:
     buffer that becomes ``values``, so no per-row object outlives its row;
     every row's window kind is the shared ``WINDOW_KINDS`` string.
     Missing columns, a short row, an unknown window kind, an unparseable
-    window start or a non-numeric feature cell raise ValueError naming the
-    file and data row.
+    window start or a non-numeric or non-finite feature cell raise ValueError
+    naming the file and data row.  Finiteness is checked once on the finished
+    matrix; the first bad cell is looked for only if that check fails.
     """
     values = array("d")
     kinds = {k: k for k in WINDOW_KINDS}
@@ -284,4 +285,8 @@ def read_feature_table(path) -> FeatureTable:
             column.append(cell)
     n = len(columns[0])
     matrix = np.frombuffer(values, dtype=float).reshape(n, len(FEATURE_NAMES))
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        raise ValueError(f"{path}: data row {i + 1}: {FEATURE_NAMES[j]} is not a finite "
+                         f"number: {float(matrix[i, j])}")
     return FeatureTable(*map(tuple, columns), matrix)

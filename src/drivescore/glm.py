@@ -92,24 +92,8 @@ class DesignMatrix:
         missing = sorted({n for row in rows for n in names if n not in row})
         if missing:
             raise MissingFeatureError(missing)
-        if len(rows) != len(y):  # from_columns cannot see it when names is empty
-            raise ValueError("design shapes inconsistent")
-        values = np.array([[float(row[n]) for n in names] for row in rows], dtype=float)
-        return cls.from_columns(values.reshape(len(rows), len(names)).T, y, names)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[np.ndarray], y: Sequence[int],
-                     feature_names: Sequence[str]) -> "DesignMatrix":
-        """Design from one array of observations per feature, such as column
-        views of a larger matrix; X is C-contiguous and filled once.  Every
-        column must hold exactly one value per target."""
-        X = np.empty((len(y), len(columns) + 1), dtype=float)
-        X[:, 0] = 1.0
-        for j, col in enumerate(columns, start=1):
-            if np.shape(col) != (len(y),):
-                raise ValueError("design shapes inconsistent")
-            X[:, j] = col
-        return cls(tuple(feature_names), X, np.asarray(y, dtype=float))
+        X = np.array([[1.0, *(float(row[n]) for n in names)] for row in rows], dtype=float)
+        return cls(names, X.reshape(len(rows), len(names) + 1), np.asarray(y, dtype=float))
 
     @property
     def columns(self) -> tuple[str, ...]:

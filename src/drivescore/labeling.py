@@ -58,28 +58,25 @@ def classify_severity(claim: ClaimRecord) -> str:
     return "strong"
 
 
-def build_targets(claims: Sequence[ClaimRecord], devices: Sequence[str],
-                  target: str) -> list[int]:
-    """Binary target per device.
+def build_targets(claims: Sequence[ClaimRecord],
+                  devices: Sequence[str]) -> dict[str, list[int]]:
+    """Every target's binary label per device, from one pass over the claims,
+    keyed in ``TARGETS`` order.
 
     "any" is 1 iff the device has at least one claim whose class is not
     "none"; a severity target is 1 iff the device has at least one claim of
     exactly that class.  A device with claims of two classes is positive in
     both severity targets.  Devices without claims are 0.
     """
-    if target not in TARGETS:
-        raise ValueError(f"unknown target: {target!r}")
     classes: dict[str, set[str]] = {}
     for c in claims:
         classes.setdefault(c.device, set()).add(classify_severity(c))
-    out = []
-    for dev in devices:
-        got = classes.get(dev, set())
-        if target == "any":
-            out.append(int(any(cls != "none" for cls in got)))
-        else:
-            out.append(int(target in got))
-    return out
+    no_claims = frozenset()  # shared: a new set per device without claims costs RSS
+    got = [classes.get(dev, no_claims) for dev in devices]
+    labels = {"any": [int(any(cls != "none" for cls in g)) for g in got]}
+    for target in TARGETS[1:]:
+        labels[target] = [int(target in g) for g in got]
+    return labels
 
 
 def claim_from_row(cells: Sequence[str]) -> ClaimRecord:

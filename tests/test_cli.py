@@ -451,6 +451,21 @@ class TestFitAndReport:
                        "--out-dir", tmp_path / "out") == 3
         assert "linearly dependent columns: avg_sp" in capsys.readouterr().err
 
+    def test_failed_fit_leaves_the_out_dir_as_it_was(self, tmp_path, capsys):
+        """On this book `any` and `weak` fit and `medium` separates: fit exits 3
+        and writes no model, so an earlier run's model file comes through."""
+        book, out = tmp_path / "book", tmp_path / "out"
+        assert run_cli("synth", "--n", 200, "--weeks", 8, "--seed", 0, "--out-dir", book) == 0
+        out.mkdir()
+        (out / "model_any.json").write_text("an earlier run's model\n")
+        capsys.readouterr()
+        assert run_cli("fit", "--features", book / "features.csv",
+                       "--claims", book / "claims.csv", "--out-dir", out) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: complete or quasi-complete separation")
+        assert [p.name for p in out.iterdir()] == ["model_any.json"]
+        assert (out / "model_any.json").read_text() == "an earlier run's model\n"
+
     def test_degenerate_labels_exit_3(self, small_pop, tmp_path, capsys, monkeypatch):
         # A fit raises SingleClassError on a one-class sample before any AUC
         # is taken, so no input file brings roc_auc's error up to the CLI;
@@ -664,6 +679,24 @@ class TestNonFiniteRecordCells:
             f"error: {bad}: data row 3: {column} is not a finite number: {value}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("column, value", [("mileage", "nan"), ("sp1", "inf"),
+                                               ("over_400", "-inf")])
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "ablate", "report", "score"])
+    def test_features_csv_exits_1_naming_the_row(self, small_pop, tmp_path, capsys,
+                                                 command, column, value):
+        """Every command that reads features.csv refuses a non-finite cell, in a
+        model column or not, before it writes anything."""
+        bad = _csv_sample(small_pop / "features.csv", tmp_path / "features.csv",
+                          **{column: value})
+        args = (("score", "--model", "paper-reference", "--target", "strong")  # no note
+                if command == "score" else
+                (command, "--claims", small_pop / "claims.csv"))
+        capsys.readouterr()
+        assert run_cli(*args, "--features", bad, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: data row 3: {column} is not a finite number: {value}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestTimestampWithoutOffset:
     @pytest.mark.parametrize("window", ["weekly", "lifetime"])
@@ -810,6 +843,8 @@ class TestErrorPaths:
         (["synth"], "n = 20\nweeks = 0", "need at least 1 week"),
         (["ablate", "--group", ","], "", "group names no feature: ','"),
         (["ablate", "--group", ""], "", "group names no feature: ''"),
+        (["synth", "--n", "5", "--weeks", "1", "--logs-limit", "3"], "",
+         "logs_limit applies only with --logs"),
     ])
     def test_out_of_range_option_exits_4_before_reading_input(self, tmp_path, capsys,
                                                                 args, config, message):

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from drivescore.labeling import (CLAIMS_CSV_COLUMNS, ClaimRecord,
+from drivescore.labeling import (CLAIMS_CSV_COLUMNS, TARGETS, ClaimRecord,
                                  ClaimValidationError, build_targets,
                                  claim_from_row, classify_severity)
 
@@ -74,17 +74,15 @@ class TestBuildTargets:
                   claim(50_000.0, device="b"),         # strong, same device
                   claim(3_000.0, device="c", culprit=0)]
         devices = ["a", "b", "c", "d"]
-        assert build_targets(claims, devices, "weak") == [1, 0, 0, 0]
-        assert build_targets(claims, devices, "medium") == [0, 1, 0, 0]
-        assert build_targets(claims, devices, "strong") == [0, 1, 0, 0]
-        assert build_targets(claims, devices, "any") == [1, 1, 0, 0]
-
-    def test_unknown_target(self):
-        with pytest.raises(ValueError):
-            build_targets([], ["a"], "catastrophic")
+        assert build_targets(claims, devices) == {"any": [1, 1, 0, 0],
+                                                  "weak": [1, 0, 0, 0],
+                                                  "medium": [0, 1, 0, 0],
+                                                  "strong": [0, 1, 0, 0]}
 
     def test_devices_without_claims_are_negative(self):
-        assert build_targets([], ["a", "b"], "any") == [0, 0]
+        labels = build_targets([], ["a", "b"])
+        assert labels == {t: [0, 0] for t in TARGETS}
+        assert tuple(labels) == TARGETS
 
 
 def test_claim_row_round_trip():

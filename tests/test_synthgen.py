@@ -147,10 +147,7 @@ class TestPlantedRangesClassify:
 class TestPlantedTruth:
     def test_outcomes_recoverable_from_claims(self):
         res = generate_population(small_config(n_drivers=300, weeks=8))
-        devices = res.features.device_ids
-        for target in ("any", "weak", "medium", "strong"):
-            assert build_targets(res.claims, devices, target) == \
-                res.outcomes[target]
+        assert build_targets(res.claims, res.features.device_ids) == res.outcomes
 
     def test_claim_ratios_stay_inside_their_bands(self):
         res = generate_population(small_config(n_drivers=300, weeks=8))
