@@ -96,7 +96,7 @@ def _opt(ns, key: str, cast, default):
         return default
     try:
         if cast is bool and raw.lower() not in BOOLEANS:
-            raise ValueError(raw)
+            raise ValueError(f"expected one of {', '.join(BOOLEANS)}")
         return BOOLEANS[raw.lower()] if cast is bool else cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: bad value {raw!r} ({exc})") from None
@@ -167,7 +167,8 @@ def cmd_parse(ns, grouped: bool = True) -> int:
         def each(log):
             issues[log.device_id] = validate_log(log)
             parsed.writelines(iter_log_lines([log]))
-        result = parse_event_file(events_path, each, grouped=grouped)
+        with open(events_path, "rb") as lines:
+            result = parse_event_file(lines, each, grouped=grouped)
     _write_json(ns.out_dir / "parse_report.json", {
         "n_lines": result.n_lines,
         "n_events": result.n_events,
@@ -202,7 +203,8 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
             if not trips:
                 tripless.append(log.device_id)
             n_hourly, n_trips = n_hourly + len(hourly), n_trips + len(trips)
-        result = parse_event_file(events_path, each, grouped=grouped)
+        with open(events_path, "rb") as lines:
+            result = parse_event_file(lines, each, grouped=grouped)
     for s in result.skipped:
         print(f"line {s.line}: {s.reason}", file=sys.stderr)
     for device in tripless:

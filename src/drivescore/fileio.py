@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import os
 from contextlib import contextmanager, suppress
 from datetime import datetime
@@ -56,11 +57,16 @@ def atomic_files(*paths: str | Path) -> Iterator[list[TextIO]]:
     Each is a new temp file beside its path, made as ``open`` makes files
     (mode 0o666 less the umask); all are renamed into place only once the
     block ends without error.  If it raises, every temp file is removed and
-    each path keeps whatever it held before.
+    each path keeps whatever it held before.  A path that is a directory raises
+    IsADirectoryError before any file is made, since no rename could replace it.
     """
+    paths = [Path(p) for p in paths]
+    for path in paths:
+        if path.is_dir() and not path.is_symlink():  # a link is replaced, not followed
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     temps: list[tuple[Path, Path, TextIO]] = []
     try:
-        for path in map(Path, paths):
+        for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
             temps.append((tmp, path, open(tmp, "x", encoding="utf-8", newline="")))

@@ -18,8 +18,8 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice
-from operator import eq, le
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from operator import attrgetter, eq, le
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # Event kinds and acceleration axes by their uint8 codes in a DeviceLog.
 KIND_NAMES = ("ignition_on", "ignition_off", "position", "speed", "acceleration")
@@ -159,7 +159,6 @@ class SkippedLine(NamedTuple):  # its fields are parse_report.json's keys
 
 @dataclass
 class ParseResult:
-    logs: list[DeviceLog]  # empty when each log was handed on as it was read
     skipped: list[SkippedLine]
     n_events: int
 
@@ -287,34 +286,36 @@ class DeviceOrderError(Exception):
     """A device id arrived that is not above every earlier one, in grouped reading."""
 
 
-def read_device_logs(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes],
-                     skipped: list[SkippedLine], grouped: bool = False) -> Iterator[DeviceLog]:
-    """One pass over a JSONL event stream, yielding one DeviceLog per device.
+def parse_event_file(lines: Iterable[bytes], each: Callable[[DeviceLog], None],
+                     grouped: bool = True) -> ParseResult:
+    """One pass over JSONL event lines, such as a file opened ``rb``, handing each
+    device's log to ``each`` in device-id order.
 
     Malformed lines, and duplicate events (same device, timestamp, kind and
-    payload) after the first, go to ``skipped`` with line number and reason,
-    in line order once the iteration ends.  Each log is stably sorted by time.
-    With ``grouped``, device ids must arrive grouped and ascending: a log is
-    yielded when the next device's first line arrives, so one device is held
-    at a time, and an id not above every earlier one raises DeviceOrderError.
-    Otherwise every device is held, and logs come in order of first appearance.
+    payload) after the first, are returned as skipped with line number and
+    reason, in line order.  Each log is stably sorted by time.  With
+    ``grouped``, device ids must arrive grouped and ascending: a log is handed
+    on when the next device's first line arrives, so one device is held at a
+    time, and an id not above every earlier one raises DeviceOrderError.
+    Otherwise every device is held, and the logs are handed on once all are built.
     """
+    skipped: list[SkippedLine] = []
+    n_events = 0
+
     def build(builder: DeviceLogBuilder) -> DeviceLog:
+        nonlocal n_events
         log, dropped = builder.build()
         skipped.extend(SkippedLine(n, "duplicate event") for n in dropped)
+        n_events += len(log.ts)
         return log
 
     builders: dict[str, DeviceLogBuilder] = {}
-    for n_lines, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                skipped.append(SkippedLine(n_lines, "invalid utf-8"))
-                continue
-        else:
-            line = raw
-        line = line.strip()
+    for n_lines, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            skipped.append(SkippedLine(n_lines, "invalid utf-8"))
+            continue
         if not line:
             skipped.append(SkippedLine(n_lines, "empty line"))
             continue
@@ -334,34 +335,17 @@ def read_device_logs(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[byte
                 (current,) = builders
                 if device < current:
                     raise DeviceOrderError(f"line {n_lines}: device {device!r} after {current!r}")
-                yield build(builders.pop(current))
+                each(build(builders.pop(current)))
             b = builders[device] = DeviceLogBuilder(device)
         b.records += _RECORD.pack(ts, lat, lon, speed, accel, n_lines, kind, axis)  # b.append
     b = None  # a builder's records go once its log is built
-    for device in list(builders):
-        yield build(builders.pop(device))
+    # every log is built before the first is handed on: a builder holds about
+    # 64 B/event, its log about 42
+    for log in sorted((build(builders.pop(device)) for device in list(builders)),
+                      key=attrgetter("device_id")):
+        each(log)
     skipped.sort()  # each line is skipped at most once, so this is line order
-
-
-def parse_event_log(stream: IO[bytes] | IO[str] | Iterable[str] | Iterable[bytes]) -> ParseResult:
-    """Every device's log at once, as ``read_device_logs`` reads them."""
-    skipped: list[SkippedLine] = []
-    logs = list(read_device_logs(stream, skipped))
-    return ParseResult(logs, skipped, sum(len(log.ts) for log in logs))
-
-
-def parse_event_file(path, each: Callable[[DeviceLog], None], grouped: bool = True) -> ParseResult:
-    """Hand the event file's logs to ``each`` in device-id order: one at a time, read
-    as ``read_device_logs`` reads ``grouped``, or all read first and sorted."""
-    skipped: list[SkippedLine] = []
-    n_events = 0
-    with open(path, "rb") as f:
-        logs = read_device_logs(f, skipped, grouped)
-        for log in logs if grouped else sorted(logs, key=lambda log: log.device_id):
-            n_events += len(log.ts)
-            each(log)
-            del log  # not held while the next device is read
-    return ParseResult([], skipped, n_events)
+    return ParseResult(skipped, n_events)
 
 
 def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
@@ -372,7 +356,7 @@ def iter_log_lines(logs: Iterable[DeviceLog]) -> Iterator[str]:
     is formatted once, floats are written by ``repr`` (as ``json.dumps``
     writes them) and the year is zero-padded to four digits.  Lines are made
     one at a time, so a writer holds one line, not the file.
-    ``parse_event_log`` inverts the joined lines exactly.
+    ``parse_event_file`` inverts the joined lines exactly.
     """
     days: dict[int, str] = {}
     for log in logs:

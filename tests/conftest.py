@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from drivescore.cli import main as cli_main
-from drivescore.ingest import parse_event_log
+from drivescore.ingest import parse_event_file
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_WEEK = DATA_DIR / "golden_week.jsonl"
@@ -39,11 +39,19 @@ def assert_same_logs(got, want):
     assert [log_columns(log) for log in got] == [log_columns(log) for log in want]
 
 
+def parse_lines(lines):
+    """Every device's log, in device-id order, and the ParseResult of JSONL text
+    lines, read as the commands read a file whose ids are not grouped."""
+    logs = []
+    result = parse_event_file((ln.encode("utf-8") for ln in lines), logs.append, grouped=False)
+    return logs, result
+
+
 def parse_objs(objs):
-    """Parse event dicts, failing the test on any skipped line."""
-    result = parse_event_log(jsonl(objs).splitlines())
+    """The logs of event dicts, failing the test on any skipped line."""
+    logs, result = parse_lines(jsonl(objs).splitlines())
     assert not result.skipped, result.skipped
-    return result
+    return logs
 
 
 @pytest.fixture(scope="session")

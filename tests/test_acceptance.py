@@ -20,7 +20,7 @@ from drivescore.features import (FEATURE_CSV_COLUMNS, FEATURE_NAMES, FeatureTabl
 from drivescore.fileio import write_csv
 from drivescore.glm import DesignMatrix, fit_logistic, load_reference_models, \
     predict_proba
-from drivescore.ingest import parse_event_log
+from drivescore.ingest import parse_event_file
 from drivescore.labeling import ClaimRecord, classify_severity
 from drivescore.trips import roll_up
 from conftest import GOLDEN_WEEK, csv_rows, run_cli
@@ -315,10 +315,11 @@ assert set(GOLDEN_EXPECTED) == set(FEATURE_NAMES)
 
 
 def test_criterion_08_golden_week_fixture():
+    logs = []
     with open(GOLDEN_WEEK, "rb") as fh:
-        res = parse_event_log(fh)
+        res = parse_event_file(fh, logs.append)
     assert not res.skipped
-    (log,) = res.logs
+    (log,) = logs
     trips, hourly = roll_up(log)
     table = compute_feature_table(hourly, trips, "weekly")
     assert table.device_ids == ("g1",)

@@ -424,6 +424,14 @@ def _model_inputs(dst, columns, positives):
     return dst / "features.csv", dst / "claims.csv"
 
 
+@pytest.fixture(scope="module")
+def book(tmp_path_factory):
+    """A lifetime book every target fits on: the CI model chain's."""
+    d = tmp_path_factory.mktemp("book")
+    assert run_cli("synth", "--n", 400, "--weeks", 8, "--seed", 0, "--out-dir", d) == 0
+    return d
+
+
 class TestFitAndReport:
     def test_fit_without_positives_exits_3(self, small_pop, tmp_path, capsys):
         empty = tmp_path / "claims.csv"
@@ -514,13 +522,6 @@ class TestModelUnitIsTheDevice:
         assert run_cli("features", "--hourly", d / "hourly.csv", "--trips", d / "trips.csv",
                        "--window", "weekly", "--out-dir", d) == 0
         return d / "features.csv"
-
-    @pytest.fixture(scope="class")
-    def book(self, tmp_path_factory):
-        """A lifetime book every target fits on: the CI model chain's."""
-        d = tmp_path_factory.mktemp("book")
-        assert run_cli("synth", "--n", 400, "--weeks", 8, "--seed", 0, "--out-dir", d) == 0
-        return d
 
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_weekly_features_exit_1(self, small_pop, weekly, tmp_path, capsys, command):
@@ -735,6 +736,8 @@ class TestBadProbability:
 class TestErrorPaths:
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("parse", "--events", tmp_path / "nope.jsonl") == 2
+        assert run_cli("--config", tmp_path / "nope.cfg", "parse",
+                       "--events", tmp_path / "nope.jsonl") == 2
 
     @pytest.mark.parametrize("args, culprit", [
         (["parse", "--events", "{dir}"], "dir"),
@@ -756,6 +759,27 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(paths[culprit]) in err and "Traceback" not in err
         assert paths["file"].read_text() == "x\n"
+
+    @pytest.mark.parametrize("command, old, directory", [
+        ("fit", "model_any.json", "eval_report.csv"),
+        ("aggregate", "hourly.csv", "trips.csv"),
+    ])
+    def test_a_target_that_is_a_directory_replaces_nothing(self, small_pop, book, tmp_path,
+                                                           capsys, command, old, directory):
+        """A command that writes several files fails on a target path that is a
+        directory before it replaces any of them."""
+        inputs = {"fit": ["--features", book / "features.csv", "--claims", book / "claims.csv"],
+                  "aggregate": ["--events", small_pop / "events.jsonl"]}
+        out = tmp_path / "out"
+        (out / directory).mkdir(parents=True)
+        (out / old).write_text("an earlier run's file\n")
+        capsys.readouterr()
+        assert run_cli(command, *inputs[command], "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"Is a directory: '{out / directory}'" in err
+        assert sorted(p.name for p in out.iterdir()) == sorted([old, directory])
+        assert (out / old).read_text() == "an earlier run's file\n"
 
     def test_unknown_config_key_exits_4(self, small_pop, tmp_path):
         cfg = tmp_path / "drivescore.cfg"
@@ -845,6 +869,14 @@ class TestErrorPaths:
         (["ablate", "--group", ""], "", "group names no feature: ''"),
         (["synth", "--n", "5", "--weeks", "1", "--logs-limit", "3"], "",
          "logs_limit applies only with --logs"),
+        (["aggregate", "--tz", "Mars/Base"], "", "unknown timezone: 'Mars/Base'"),
+        (["fit"], "alpha = abc",
+         "config key 'alpha': bad value 'abc' (could not convert string to float: 'abc')"),
+        (["fit"], "alpha =", "{cfg}:1: empty key or value"),
+        (["score", "--model", "paper-reference", "--target", "bogus"], "",
+         "target must be one of ('any', 'weak', 'medium', 'strong'), got 'bogus'"),
+        (["fit"], "stratify = maybe",
+         "config key 'stratify': bad value 'maybe' (expected one of 1, true, yes, 0, false, no)"),
     ])
     def test_out_of_range_option_exits_4_before_reading_input(self, tmp_path, capsys,
                                                                 args, config, message):
@@ -852,12 +884,13 @@ class TestErrorPaths:
         events.write_text("{not json\n")  # aggregate reads it only after its options pass
         absent = tmp_path / "absent.csv"   # the model commands never look at theirs
         inputs = {"aggregate": ["--events", events], "synth": [],
-                  "fit": ["--features", absent, "--claims", absent]}
+                  "fit": ["--features", absent, "--claims", absent],
+                  "score": ["--features", events]}  # there, but score reads it after its model
         cfg = tmp_path / "drivescore.cfg"
         cfg.write_text(config + "\n")
         assert run_cli("--config", cfg, *args, *inputs.get(args[0], inputs["fit"]),
                        "--out-dir", tmp_path / "out") == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not (tmp_path / "out").exists()
 
     YEAR_1 = ('{"device":"old","ts":"0001-01-01T00:00:00Z","kind":"position",'

@@ -61,6 +61,24 @@ def test_files_written_together_replace_their_paths_together(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hourly.csv", "trips.csv"]
 
 
+def test_a_directory_target_fails_before_any_file_is_made(tmp_path):
+    hourly, trips, elsewhere = tmp_path / "hourly.csv", tmp_path / "trips.csv", tmp_path / "d"
+    hourly.write_bytes(b"old hourly\n")
+    trips.mkdir()
+    with pytest.raises(IsADirectoryError, match="trips.csv"):
+        with atomic_files(hourly, trips):
+            pytest.fail("the block ran")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hourly.csv", "trips.csv"]
+    assert hourly.read_bytes() == b"old hourly\n"
+    # a link to a directory is not one: the rename replaces the link
+    trips.rmdir()
+    elsewhere.mkdir()
+    trips.symlink_to(elsewhere)
+    with atomic_files(trips) as (t,):
+        t.write("trip 1\n")
+    assert not trips.is_symlink() and trips.read_bytes() == b"trip 1\n"
+
+
 @pytest.mark.parametrize("size", [0, 1, 1 << 16, (1 << 16) + 1])
 def test_digest_is_hashlibs_sha256(tmp_path, size):
     """The built-in SHA-256 gives hashlib's digest, on either side of the

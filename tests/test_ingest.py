@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from drivescore.ingest import (AXIS_NAMES, KIND_NAMES, MAX_ABS_ACCEL_G, NAN, POSITION,
                                SUSPECT_SPEED_KPH, DeviceLogBuilder, epoch_seconds,
-                               iter_log_lines, parse_event_log, validate_log)
-from conftest import assert_same_logs, jsonl, parse_objs
+                               iter_log_lines, parse_event_file, validate_log)
+from conftest import assert_same_logs, jsonl, parse_lines, parse_objs
 
 UTC = timezone.utc
 
@@ -25,8 +25,8 @@ def pos(ts, lon, lat=0.0, device="d1"):
 
 
 def skip_reason(obj):
-    """Why ``parse_event_log`` skips the line of one JSON object, or None if it keeps it."""
-    result = parse_event_log([json.dumps(obj)])
+    """Why ``parse_event_file`` skips the line of one JSON object, or None if it keeps it."""
+    _, result = parse_lines([json.dumps(obj)])
     return result.skipped[0].reason if result.skipped else None
 
 
@@ -51,6 +51,20 @@ _REJECTS = [
         (ev("position", lat=0.0, lon=c), "lon is not a finite number"),
         (ev("speed", speed_kph=c), "speed_kph is not a finite number"),
         (ev("acceleration", axis="lateral", accel_g=c), "accel_g is not a finite number"))],
+    (ev("position", ts=1620036000, lat=0.0, lon=0.0), "timestamp not parseable: not a string"),
+    (ev("position", ts="2021-05-03T10:00:00", lat=0.0, lon=0.0),
+     "timestamp not parseable: missing timezone"),
+    (ev("position", ts="9999-12-31T23:00:00-05:00", lat=0.0, lon=0.0),
+     "timestamp not parseable: date value out of range"),
+    (ev("speed", speed_kph="55"), "speed_kph is not a number"),
+    (ev("speed", speed_kph=True), "speed_kph is not a number"),
+    (ev("position", lat=0.0), "lat/lon must appear together"),
+    (ev("position", lat=91.0, lon=0.0), "latitude out of range"),
+    (ev("position", lat=0.0, lon=-181.0), "longitude out of range"),
+    ([ev("position", lat=0.0, lon=0.0)], "record is not an object"),
+    ({"device": "d1", "kind": "position", "lat": 0.0, "lon": 0.0}, "missing timestamp"),
+    (ev("position", lat=0.0, lon=0.0, speed_kph=1.0), "speed_kph not allowed on position event"),
+    (ev("speed", speed_kph=1.0, accel_g=0.1), "acceleration fields not allowed on speed event"),
 ]
 
 
@@ -58,7 +72,7 @@ class TestEventFromObj:
     """One JSON object per line: the event parse keeps, or the reason it skips the line."""
 
     def test_position(self):
-        (log,) = parse_objs([pos("2021-05-03T10:00:00Z", 30.5, lat=59.9)]).logs
+        (log,) = parse_objs([pos("2021-05-03T10:00:00Z", 30.5, lat=59.9)])
         assert (log.device_id, log.kind[0], log.axis[0], log.lat[0], log.lon[0]) == \
             ("d1", POSITION, 0, 59.9, 30.5)
         assert log.ts[0] == epoch_seconds(datetime(2021, 5, 3, 10, tzinfo=UTC))
@@ -75,37 +89,41 @@ class TestEventFromObj:
 
     def test_accel_magnitude_cap(self):
         ok = ev("acceleration", axis="longitudinal", accel_g=MAX_ABS_ACCEL_G)
-        assert parse_objs([ok]).logs[0].accel_g[0] == MAX_ABS_ACCEL_G
+        assert parse_objs([ok])[0].accel_g[0] == MAX_ABS_ACCEL_G
         assert skip_reason(ev("acceleration", axis="longitudinal",
                               accel_g=MAX_ABS_ACCEL_G + 0.001)) == "accel_g out of range"
 
 
 class TestParseEventLog:
     def test_line_bookkeeping(self):
-        lines = [json.dumps(pos("2021-05-03T10:00:00Z", 1.0)),
-                 "{not json",
-                 json.dumps(pos("2021-05-03T10:01:00Z", 1.01)),
-                 json.dumps(pos("2021-05-03T10:01:00Z", 1.01)),  # duplicate
-                 json.dumps(ev("speed"))]                        # invalid
-        result = parse_event_log(lines)
-        assert result.n_lines == 5
+        lines = [json.dumps(pos("2021-05-03T10:00:00Z", 1.0)).encode(),
+                 b"{not json",
+                 json.dumps(pos("2021-05-03T10:01:00Z", 1.01)).encode(),
+                 json.dumps(pos("2021-05-03T10:01:00Z", 1.01)).encode(),  # duplicate
+                 json.dumps(ev("speed")).encode(),                        # invalid
+                 b"\xff\xfe",
+                 b"   \n"]
+        result = parse_event_file(lines, lambda log: None)
+        assert result.n_lines == 7
         assert result.n_events == 2
-        assert [s.line for s in result.skipped] == [2, 4, 5]
+        assert [s.line for s in result.skipped] == [2, 4, 5, 6, 7]
+        assert [s.reason for s in result.skipped][1:] == [
+            "duplicate event", "speed event without speed_kph", "invalid utf-8", "empty line"]
         assert result.n_events + len(result.skipped) == result.n_lines
 
     def test_sorts_within_device(self):
         objs = [pos("2021-05-03T10:05:00Z", 1.05),
                 pos("2021-05-03T10:00:00Z", 1.0),
                 pos("2021-05-03T10:02:00Z", 1.02)]
-        log = parse_objs(objs).logs[0]
+        log = parse_objs(objs)[0]
         assert list(log.ts) == sorted(log.ts)
         assert list(log.lon) == [1.0, 1.02, 1.05]
 
     def test_splits_by_device(self):
         objs = [pos("2021-05-03T10:00:00Z", 1.0, device="a"),
                 pos("2021-05-03T10:00:00Z", 1.0, device="b")]
-        result = parse_objs(objs)
-        assert sorted(log.device_id for log in result.logs) == ["a", "b"]
+        logs = parse_objs(objs)
+        assert sorted(log.device_id for log in logs) == ["a", "b"]
 
     def test_serialize_round_trip(self):
         objs = [ev("ignition_on", "2021-05-03T10:00:00Z"),
@@ -115,23 +133,23 @@ class TestParseEventLog:
                    axis="lateral", accel_g=0.42),
                 ev("ignition_off", "2021-05-03T10:02:00Z")]
         first = parse_objs(objs)
-        text = "".join(iter_log_lines(first.logs))
-        second = parse_event_log(text.splitlines())
-        assert not second.skipped
-        assert_same_logs(second.logs, first.logs)
+        text = "".join(iter_log_lines(first))
+        second, result = parse_lines(text.splitlines())
+        assert not result.skipped
+        assert_same_logs(second, first)
 
     def test_year_below_1000_round_trips(self):
         first = parse_objs([pos("0999-05-03T10:00:00Z", 1.0)])
-        text = "".join(iter_log_lines(first.logs))
+        text = "".join(iter_log_lines(first))
         assert '"ts":"0999-05-03T10:00:00Z"' in text
-        assert_same_logs(parse_event_log(text.splitlines()).logs, first.logs)
+        assert_same_logs(parse_lines(text.splitlines())[0], first)
 
     def test_non_finite_numbers_are_skipped(self):
         lines = ['{"device":"d1","ts":"2021-05-03T10:00:00Z","kind":"speed","speed_kph":NaN}',
                  '{"device":"d1","ts":"2021-05-03T10:00:00Z","kind":"position","lat":0,"lon":1e400}',
                  '{"device":"d1","ts":"2021-05-03T10:00:00Z","kind":"position","lat":0,"lon":%s}'
                  % ("1" * 5000)]
-        result = parse_event_log(lines)
+        _, result = parse_lines(lines)
         assert result.n_events == 0
         assert [s.reason for s in result.skipped][:2] == [
             "speed_kph is not a finite number", "lon is not a finite number"]
@@ -174,8 +192,8 @@ def _built_log(objs):
 @given(event_objs())
 def test_obj_round_trip_is_identity(obj):
     log = _built_log([obj])
-    assert_same_logs(parse_event_log([json.dumps(obj)]).logs, [log])
-    assert_same_logs(parse_event_log(iter_log_lines([log])).logs, [log])
+    assert_same_logs(parse_lines([json.dumps(obj)])[0], [log])
+    assert_same_logs(parse_lines(iter_log_lines([log]))[0], [log])
 
 
 _any_float = st.floats(allow_nan=False, allow_infinity=False)
@@ -194,10 +212,10 @@ def test_serialize_then_parse_returns_the_logs(objs):
     by_device = {}
     for obj in objs:
         by_device.setdefault(obj["device"], []).append(obj)
-    logs = [_built_log(evs) for evs in by_device.values()]  # exact duplicates dropped
-    result = parse_event_log("".join(iter_log_lines(logs)).encode("utf-8").splitlines())
+    logs = [_built_log(by_device[d]) for d in sorted(by_device)]  # exact duplicates dropped
+    got, result = parse_lines("".join(iter_log_lines(logs)).splitlines())
     assert not result.skipped
-    assert_same_logs(result.logs, logs)
+    assert_same_logs(got, logs)
 
 
 @given(st.lists(event_objs(), max_size=12))
@@ -211,7 +229,7 @@ def test_line_iterator_yields_the_serialized_text_line_by_line(objs):
 
 class TestValidateLog:
     def _log(self, objs):
-        return parse_objs(objs).logs[0]
+        return parse_objs(objs)[0]
 
     def test_clean(self):
         log = self._log([ev("ignition_on", "2021-05-03T10:00:00Z"),

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from drivescore.features import FEATURE_NAMES, compute_feature_table
 from drivescore.fileio import iter_csv_records, write_csv
-from drivescore.ingest import POSITION, SPEED, parse_event_log, utc_datetime
+from drivescore.ingest import POSITION, SPEED, utc_datetime
 from drivescore.synthgen import SynthConfig, generate_population, iter_event_logs
 from drivescore.trips import (DEFAULT_GAP_THRESHOLD_S, EARTH_RADIUS_KM,
                               HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS,
                               HourlyRecord, Trip, haversine_km, hourly_from_row,
                               roll_up, trip_from_row)
-from conftest import jsonl, parse_objs
+from conftest import jsonl, parse_lines, parse_objs
 
 UTC = timezone.utc
 KM_PER_DEGREE = EARTH_RADIUS_KM * math.pi / 180.0
@@ -60,7 +60,7 @@ class TestHaversine:
 
 class TestSegmentation:
     def test_single_ignition_trip(self):
-        log = parse_objs(drive(T0, 30, 60.0)).logs[0]
+        log = parse_objs(drive(T0, 30, 60.0))[0]
         trips, _ = roll_up(log)
         assert len(trips) == 1
         t = trips[0]
@@ -71,7 +71,7 @@ class TestSegmentation:
 
     def test_two_ignition_trips(self):
         objs = drive(T0, 20, 50.0) + drive(T0 + timedelta(hours=3), 20, 50.0)
-        trips, _ = roll_up(parse_objs(objs).logs[0])
+        trips, _ = roll_up(parse_objs(objs)[0])
         assert len(trips) == 2
         assert trips[0].end < trips[1].start
 
@@ -79,31 +79,31 @@ class TestSegmentation:
         a = drive(T0, 10, 60.0, ignition=False)
         b = drive(T0 + timedelta(seconds=600 + 11 * 60), 10, 60.0,
                   lon0=1.0, ignition=False)
-        trips, _ = roll_up(parse_objs(a + b).logs[0])
+        trips, _ = roll_up(parse_objs(a + b)[0])
         assert len(trips) == 2
 
     def test_gap_below_threshold_keeps_one_trip(self):
         a = drive(T0, 10, 60.0, ignition=False)
         b = drive(T0 + timedelta(seconds=10 * 60 + 599), 10, 60.0,
                   lon0=0.8, ignition=False)
-        trips, _ = roll_up(parse_objs(a + b).logs[0])
+        trips, _ = roll_up(parse_objs(a + b)[0])
         assert len(trips) == 1
 
     def test_short_trips_discarded(self):
         jitter = drive(T0, 0.5, 20.0)  # 30 s
-        assert roll_up(parse_objs(jitter).logs[0])[0] == []
+        assert roll_up(parse_objs(jitter)[0])[0] == []
         parked = drive(T0, 30, 0.1)    # 50 m of creep
-        assert roll_up(parse_objs(parked).logs[0])[0] == []
+        assert roll_up(parse_objs(parked)[0])[0] == []
 
     def test_unclosed_trip_ends_at_last_movement(self):
         objs = drive(T0, 15, 60.0)
         objs = objs[:-1]  # drop ignition_off
-        trips, _ = roll_up(parse_objs(objs).logs[0])
+        trips, _ = roll_up(parse_objs(objs)[0])
         assert len(trips) == 1
         assert trips[0].end == T0 + timedelta(minutes=15)
 
     def test_threshold_validation(self):
-        log = parse_objs(drive(T0, 10, 50.0)).logs[0]
+        log = parse_objs(drive(T0, 10, 50.0))[0]
         with pytest.raises(ValueError):
             roll_up(log, gap_threshold_s=0.0)
 
@@ -128,7 +128,7 @@ class TestTripInvariants:
 
 class TestAggregateHourly:
     def _pipeline(self, objs, tz=UTC):
-        log = parse_objs(objs).logs[0]
+        log = parse_objs(objs)[0]
         return (log, *roll_up(log, tz=tz))
 
     def test_leg_split_across_hours(self):
@@ -218,7 +218,7 @@ def test_hourly_row_round_trip(tmp_path):
        start_minute=st.integers(min_value=0, max_value=59))
 def test_hourly_mileage_conserves_trip_mileage(minutes, speed, start_minute):
     start = T0.replace(minute=start_minute)
-    log = parse_objs(drive(start, minutes, speed)).logs[0]
+    log = parse_objs(drive(start, minutes, speed))[0]
     trips, recs = roll_up(log)
     assert sum(r.mileage_km for r in recs) == pytest.approx(
         sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
@@ -273,7 +273,7 @@ def _first_trip_legs(log, trips):
 @settings(deadline=None, max_examples=200)
 @given(objs=tie_logs())
 def test_each_leg_counts_in_the_first_trip_holding_it(objs):
-    log = parse_event_log(jsonl(objs).splitlines()).logs[0]
+    log = parse_lines(jsonl(objs).splitlines())[0][0]
     trips, recs = roll_up(log)
     assert sum(r.mileage_km for r in recs) == pytest.approx(
         sum(t.mileage_km for t in trips), rel=1e-9, abs=1e-12)
@@ -291,7 +291,7 @@ def test_a_leg_in_the_second_two_trips_share_counts_once():
             at(5, "position", lat=0.0, lon=0.01), at(5, "position", lat=0.0, lon=0.02),
             at(5, "ignition_off"), at(5, "ignition_on"),
             at(10, "position", lat=0.0, lon=0.03), at(10, "ignition_off")]
-    log = parse_objs(objs).logs[0]
+    log = parse_objs(objs)[0]
     trips, recs = roll_up(log)
     leg_km = 0.01 * KM_PER_DEGREE
     assert [t.mileage_km for t in trips] == pytest.approx([2 * leg_km, leg_km], rel=1e-9)
@@ -309,7 +309,7 @@ def test_fall_back_night_has_two_two_oclock_hours():
     """A 3-hour drive over Berlin's 2019 fall-back: 02:00 CEST, the repeated
     02:00 CET and 03:00 CET are three hours of 42.9 km each."""
     start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
-    log = parse_objs(drive(start, 180, 42.9)).logs[0]
+    log = parse_objs(drive(start, 180, 42.9))[0]
     _, recs = roll_up(log, tz=BERLIN)
     assert [r.hour_start.isoformat() for r in recs] == [
         "2019-10-27T02:00:00+02:00", "2019-10-27T02:00:00+01:00", "2019-10-27T03:00:00+01:00"]
@@ -327,7 +327,7 @@ def test_fall_back_week_features():
     own, not folded into the first.
     """
     start = datetime(2019, 10, 27, 0, 0, tzinfo=UTC)
-    log = parse_objs(drive(start, 180, 42.9)).logs[0]
+    log = parse_objs(drive(start, 180, 42.9))[0]
     trips, recs = roll_up(log, tz=BERLIN)
     table = compute_feature_table(recs, trips, "weekly", tz=BERLIN)
     (start,) = table.window_starts
@@ -403,7 +403,7 @@ def test_hours_book_each_real_minute_once(case):
     counts in two trips."""
     name, objs = case
     tz = _tz(name)
-    log = parse_event_log(jsonl(objs).splitlines()).logs[0]  # a repeated fix is a duplicate
+    log = parse_lines(jsonl(objs).splitlines())[0][0]  # a repeated fix is a duplicate
     trips, recs = roll_up(log, tz=tz)
 
     legs = [km for k in _first_trip_legs(log, trips).values() for km in k]
