@@ -65,6 +65,9 @@ SYNTH_DIGESTS = {
 EVENTS_DIGEST = "7a3703eff63bc04a8930d1a22003c6afffe38ae71ffe4811554b54c3bf7d4ce1"
 # its weekly features.csv, aggregated and windowed under --tz UTC
 EVENTS_FEATURES_DIGEST = "23a475e6ccc76cf7022f0951034e498f18404561cf7f747016217c31ab524b1c"
+# synth --n 6 --weeks 26 --seed 0 --logs --logs-limit 2: 94,374 events, with
+# 26-week histories and many position fixes that share a second
+LONG_EVENTS_DIGEST = "b7ae395c80d8b4472e6933d300952f11361185b18accafe458ffff9415a7420f"
 
 
 def compensated_sum(iterable, /, start=0):
@@ -129,6 +132,13 @@ def test_synth_event_log_bytes(tmp_path, float_sum):
     assert _run(float_sum, "synth", "--n", 5, "--weeks", 2, "--seed", 3, "--logs",
                 "--out-dir", tmp_path) == 0
     assert _sha256(tmp_path / "events.jsonl") == EVENTS_DIGEST
+
+
+@pytest.mark.parametrize("float_sum", SUMS)
+def test_synth_long_event_log_bytes(tmp_path, float_sum):
+    assert _run(float_sum, "synth", "--n", 6, "--weeks", 26, "--seed", 0, "--logs",
+                "--logs-limit", 2, "--out-dir", tmp_path) == 0
+    assert _sha256(tmp_path / "events.jsonl") == LONG_EVENTS_DIGEST
 
 
 @pytest.mark.parametrize("float_sum", SUMS)
