@@ -159,30 +159,43 @@ def _read_claims(path: Path):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_parse(ns, grouped: bool = True) -> int:
+def _each_reading(run) -> int:
+    """``run(grouped=True)``, and ``run(grouped=False)`` if the device ids turn out
+    not to be grouped, so the file is read again holding every device."""
+    try:
+        return run(grouped=True)
+    except DeviceOrderError:
+        return run(grouped=False)
+
+
+def cmd_parse(ns) -> int:
     events_path = _require(ns.events, "events file")
-    digest = sha256_digest(events_path)
-    issues = {}
-    with atomic_files(ns.out_dir / "parsed.jsonl") as (parsed,):
-        def each(log):
-            issues[log.device_id] = validate_log(log)
-            parsed.writelines(iter_log_lines([log]))
-        with open(events_path, "rb") as lines:
-            result = parse_event_file(lines, each, grouped=grouped)
-    _write_json(ns.out_dir / "parse_report.json", {
-        "n_lines": result.n_lines,
-        "n_events": result.n_events,
-        "n_devices": len(issues),
-        "skipped": [s._asdict() for s in result.skipped],
-        "validation": {dev: [i._asdict() for i in found] for dev, found in issues.items() if found},
-        "provenance": _provenance_obj(None, {"events": digest}),
-    })
-    print(f"parsed {result.n_events} events from {result.n_lines} lines "
-          f"({len(result.skipped)} skipped, {len(issues)} devices)")
-    return 0
+    digest = sha256_digest(events_path)  # once, though the file may be read twice
+
+    def run(grouped: bool) -> int:
+        issues = {}
+        with atomic_files(ns.out_dir / "parsed.jsonl") as (parsed,):
+            def each(log):
+                issues[log.device_id] = validate_log(log)
+                parsed.writelines(iter_log_lines([log]))
+            with open(events_path, "rb") as lines:
+                result = parse_event_file(lines, each, grouped=grouped)
+        _write_json(ns.out_dir / "parse_report.json", {
+            "n_lines": result.n_lines,
+            "n_events": result.n_events,
+            "n_devices": len(issues),
+            "skipped": [s._asdict() for s in result.skipped],
+            "validation": {dev: [i._asdict() for i in found]
+                           for dev, found in issues.items() if found},
+            "provenance": _provenance_obj(None, {"events": digest}),
+        })
+        print(f"parsed {result.n_events} events from {result.n_lines} lines "
+              f"({len(result.skipped)} skipped, {len(issues)} devices)")
+        return 0
+    return _each_reading(run)
 
 
-def cmd_aggregate(ns, grouped: bool = True) -> int:
+def cmd_aggregate(ns) -> int:
     from .trips import DEFAULT_GAP_THRESHOLD_S, HOURLY_CSV_COLUMNS, TRIP_CSV_COLUMNS, roll_up
 
     events_path = _require(ns.events, "events file")
@@ -191,27 +204,31 @@ def cmd_aggregate(ns, grouped: bool = True) -> int:
     if not gap > 0:  # inf is valid: it never splits
         raise ConfigError(f"gap_threshold_s must be positive, got {gap}")
     prov = provenance_line(None, {"events": sha256_digest(events_path)})
-    tripless, n_hourly, n_trips = [], 0, 0
-    with atomic_files(ns.out_dir / "hourly.csv", ns.out_dir / "trips.csv") as (hourly_f, trips_f):
-        write_hourly = csv_row_writer(hourly_f, HOURLY_CSV_COLUMNS, prov)
-        write_trips = csv_row_writer(trips_f, TRIP_CSV_COLUMNS, prov)
-        def each(log):
-            nonlocal n_hourly, n_trips
-            trips, hourly = roll_up(log, gap, tz)
-            write_hourly(hourly)
-            write_trips(trips)
-            if not trips:
-                tripless.append(log.device_id)
-            n_hourly, n_trips = n_hourly + len(hourly), n_trips + len(trips)
-        with open(events_path, "rb") as lines:
-            result = parse_event_file(lines, each, grouped=grouped)
-    for s in result.skipped:
-        print(f"line {s.line}: {s.reason}", file=sys.stderr)
-    for device in tripless:
-        print(f"device {device}: no trip kept", file=sys.stderr)
-    print(f"wrote {n_hourly} hourly records and {n_trips} trips "
-          f"({len(result.skipped)} lines skipped)")
-    return 0
+
+    def run(grouped: bool) -> int:
+        tripless, n_hourly, n_trips = [], 0, 0
+        with atomic_files(ns.out_dir / "hourly.csv",
+                          ns.out_dir / "trips.csv") as (hourly_f, trips_f):
+            write_hourly = csv_row_writer(hourly_f, HOURLY_CSV_COLUMNS, prov)
+            write_trips = csv_row_writer(trips_f, TRIP_CSV_COLUMNS, prov)
+            def each(log):
+                nonlocal n_hourly, n_trips
+                trips, hourly = roll_up(log, gap, tz)
+                write_hourly(hourly)
+                write_trips(trips)
+                if not trips:
+                    tripless.append(log.device_id)
+                n_hourly, n_trips = n_hourly + len(hourly), n_trips + len(trips)
+            with open(events_path, "rb") as lines:
+                result = parse_event_file(lines, each, grouped=grouped)
+        for s in result.skipped:
+            print(f"line {s.line}: {s.reason}", file=sys.stderr)
+        for device in tripless:
+            print(f"device {device}: no trip kept", file=sys.stderr)
+        print(f"wrote {n_hourly} hourly records and {n_trips} trips "
+              f"({len(result.skipped)} lines skipped)")
+        return 0
+    return _each_reading(run)
 
 
 def cmd_features(ns) -> int:
@@ -458,6 +475,7 @@ def cmd_report(ns) -> int:
 
     table, labels, inputs = _read_model_inputs(ns)
     y = labels["any"]
+    del labels  # only any's labels are described; the other three go before the statistics
     names = list(MODEL_FEATURE_NAMES)
     values = table.model_values
     stats, notes = descriptive_stats(values, y)
@@ -589,10 +607,7 @@ def main(argv=None) -> int:
     try:
         ns._config = load_config(ns.config) if ns.config else {}
         ns.out_dir = Path(_opt(ns, "out_dir", str, "."))
-        try:
-            return ns.func(ns)
-        except DeviceOrderError:  # ids not grouped: parse or aggregate again, holding them all
-            return ns.func(ns, grouped=False)
+        return ns.func(ns)
     except (ValueError, KeyError, OSError) as exc:  # OSError: a path there but unusable
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), 1)

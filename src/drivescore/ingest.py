@@ -95,8 +95,11 @@ def _column(view: memoryview, typecode: str, first: int, step: int) -> array:
 class DeviceLogBuilder:
     """One device's events as they arrive; ``build`` makes its DeviceLog.
 
-    The log gets one stable sort by time; exact duplicates, which then lie
-    in one run of equal timestamps, are dropped, keeping the first to arrive.
+    Each event is added to ``records`` packed by ``_RECORD``, values NaN where
+    absent, with a tag, such as its line number, that ``build`` reports if it
+    is a duplicate.  The log gets one stable sort by time; exact duplicates,
+    which then lie in one run of equal timestamps, are dropped, keeping the
+    first to arrive.
     """
 
     __slots__ = ("device_id", "records")
@@ -104,12 +107,6 @@ class DeviceLogBuilder:
     def __init__(self, device_id: str):
         self.device_id = device_id
         self.records = bytearray()
-
-    def append(self, ts: int, kind: int, axis: int = 0, lat: float = NAN, lon: float = NAN,
-               speed_kph: float = NAN, accel_g: float = NAN, tag: int = 0) -> None:
-        """Add an event: epoch seconds, codes, values (NaN where absent) and a
-        tag, such as its line number, that ``build`` reports if it is a duplicate."""
-        self.records += _RECORD.pack(ts, lat, lon, speed_kph, accel_g, tag, kind, axis)
 
     def build(self) -> tuple[DeviceLog, list[int]]:
         """The log, and the tags of the duplicates dropped from it, in order."""
@@ -337,7 +334,7 @@ def parse_event_file(lines: Iterable[bytes], each: Callable[[DeviceLog], None],
                     raise DeviceOrderError(f"line {n_lines}: device {device!r} after {current!r}")
                 each(build(builders.pop(current)))
             b = builders[device] = DeviceLogBuilder(device)
-        b.records += _RECORD.pack(ts, lat, lon, speed, accel, n_lines, kind, axis)  # b.append
+        b.records += _RECORD.pack(ts, lat, lon, speed, accel, n_lines, kind, axis)
     b = None  # a builder's records go once its log is built
     # every log is built before the first is handed on: a builder holds about
     # 64 B/event, its log about 42

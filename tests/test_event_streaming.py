@@ -118,6 +118,20 @@ def test_a_failure_inside_a_device_leaves_no_artifact(tmp_path, capsys, monkeypa
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["parse", "aggregate"])
+def test_interleaved_input_is_hashed_once(tmp_path, capsys, monkeypatch, command):
+    """Read again holding every device, the file's digest is still taken once."""
+    from drivescore import cli
+
+    calls = []
+    real = cli.sha256_digest
+    monkeypatch.setattr(cli, "sha256_digest", lambda path: calls.append(path) or real(path))
+    events = tmp_path / "events.jsonl"
+    events.write_text(INTERLEAVED)
+    assert run_cli(command, "--events", events, "--out-dir", tmp_path / "out") == 0
+    assert calls == [events]
+
+
 # Traced peak of a command on eight equal devices less its peak on one of
 # them, measured with 4,000-event devices (Python 3.11): parse 14 kB,
 # aggregate 18 kB.  Holding every device, as the commands did before they

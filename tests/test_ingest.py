@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from drivescore.ingest import (AXIS_NAMES, KIND_NAMES, MAX_ABS_ACCEL_G, NAN, POSITION,
+from drivescore.ingest import (_RECORD, AXIS_NAMES, KIND_NAMES, MAX_ABS_ACCEL_G, NAN, POSITION,
                                SUSPECT_SPEED_KPH, DeviceLogBuilder, epoch_seconds,
                                iter_log_lines, parse_event_file, validate_log)
 from conftest import assert_same_logs, jsonl, parse_lines, parse_objs
@@ -183,9 +183,10 @@ def _built_log(objs):
     """The log of one device's event objects, made by the builder without any range check."""
     b = DeviceLogBuilder(objs[0]["device"])
     for o in objs:
-        b.append(epoch_seconds(datetime.fromisoformat(o["ts"][:-1]).replace(tzinfo=UTC)),
-                 KIND_NAMES.index(o["kind"]), AXIS_NAMES.index(o.get("axis")),
-                 *(o.get(k, NAN) for k in ("lat", "lon", "speed_kph", "accel_g")))
+        b.records += _RECORD.pack(
+            epoch_seconds(datetime.fromisoformat(o["ts"][:-1]).replace(tzinfo=UTC)),
+            *(o.get(k, NAN) for k in ("lat", "lon", "speed_kph", "accel_g")), 0,
+            KIND_NAMES.index(o["kind"]), AXIS_NAMES.index(o.get("axis")))
     return b.build()[0]
 
 

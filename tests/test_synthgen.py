@@ -5,20 +5,22 @@ import inspect
 import json
 import math
 from dataclasses import fields, replace
-from datetime import timezone
+from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from drivescore.bands import ACCEL_BAND_NAMES, accel_bands, speed_bands
 from drivescore.features import FEATURE_NAMES, compute_feature_table
-from drivescore.ingest import iter_log_lines
+from drivescore.ingest import (_RECORD, ACCELERATION, EPOCH, LATERAL, NAN, POSITION, SPEED,
+                               epoch_seconds, iter_log_lines)
 from drivescore.labeling import ClaimRecord, build_targets, classify_severity
 from drivescore import synthgen
 from drivescore.synthgen import (DEFAULT_PLANTED_BETAS, G_RANGES, LONG_TRIP_LO,
                                  RATIO_RANGES, SYNTH_EPOCH, DriverProfile,
                                  SynthConfig, SynthResult, _BASE_HOUR_WEIGHTS,
-                                 _driver_seed, _uniform,
+                                 _driver_seed, _round7, _timedelta_micros, _uniform,
                                  generate_event_log, generate_population,
                                  iter_event_logs, oracle_features,
                                  planted_probabilities, sample_profile)
@@ -255,6 +257,68 @@ class TestEventLogRealism:
         full = list(iter_event_logs(res))
         assert len(full) == 10
         assert_same_logs(logs, full[:3])
+
+
+class TestFixArithmetic:
+    """The array pass over a device's position fixes gives the bits of a loop
+    over ``timedelta`` and ``round``, and packs records as ingest packs them."""
+
+    @given(st.lists(st.one_of(
+        st.floats(0.0, 1e6, exclude_max=True),
+        st.integers(0, 10**12 - 1).map(lambda n: (n + 0.5) / 1e6),  # halves, n of either parity
+        st.integers(0, 10**6 - 1).map(float)), min_size=1, max_size=64))
+    @example([1.5e-6, 2.5e-6, 0.0, 1.0])
+    def test_timedelta_micros(self, xs):
+        want = [timedelta(seconds=x) // timedelta(microseconds=1) for x in xs]
+        assert _timedelta_micros(np.array(xs)).tolist() == want
+
+    def test_half_microseconds_round_to_even(self):
+        # each leaves exactly half a microsecond over a sum of 1 and of 2
+        assert np.modf(np.array([1.5e-6, 2.5e-6]) * 1e6)[0].tolist() == [0.5, 0.5]
+        assert _timedelta_micros(np.array([1.5e-6, 2.5e-6])).tolist() == [2, 2]
+
+    @given(st.lists(st.one_of(
+        st.floats(-180.0, 180.0),
+        st.integers(-18 * 10**8, 18 * 10**8).map(lambda m: (m + 0.5) / 1e7),  # near halves
+        st.integers(-180 * 256, 180 * 256).map(lambda j: j / 256)),  # exact halves
+        min_size=1, max_size=64))
+    @example([117.97293375, -3e-8, -0.0, 0.0, 1 / 256, 3 / 256])
+    def test_round7(self, xs):
+        assert [repr(x) for x in _round7(np.array(xs)).tolist()] == \
+            [repr(round(x, 7)) for x in xs]  # repr tells -0.0 from 0.0
+
+    def test_np_round_is_not_pythons(self):
+        # 117.97293375 * 1e7 rounds to a half; the exact product lies below it
+        assert np.round(117.97293375, 7) != round(117.97293375, 7) == 117.9729337
+
+    @given(st.lists(st.tuples(st.integers(0, 2 * 10**15), st.floats(0.01, 30000.0),
+                              st.floats(-90.0, 90.0), st.floats(0.001, 1500.0)),
+                    min_size=1, max_size=4), st.data())
+    def test_position_fixes_match_the_loop(self, segs, data):
+        """The fixes a per-fix loop over ``timedelta`` and ``round`` emits, at the emission
+        indices between the segments' other events."""
+        rows, index, want = [], 0, {}
+        for start_us, seg_s, lon, seg_km in segs:
+            index += data.draw(st.integers(0, 3))  # other events emitted before the segment
+            steps = max(1, int(seg_s // 60.0))
+            rows.append((index, start_us, seg_s, steps, lon, seg_km))
+            t = EPOCH + timedelta(microseconds=start_us)
+            for k in range(1, steps + 1):
+                want[index] = (epoch_seconds(t + timedelta(seconds=seg_s * k / steps)),
+                               round(lon + seg_km * k / steps / synthgen.KM_PER_DEGREE, 7))
+                index += 1
+        events = np.zeros(index, synthgen._RECORD_DTYPE)
+        synthgen._position_fixes(events, np.array(rows, synthgen._SEGMENT_DTYPE))
+        got = {i: (events["ts"][i].item(), events["lon"][i].item()) for i in want}
+        assert got == want
+
+    def test_record_dtype_packs_as_ingest(self):
+        rows = [(1551700000, 0.0, -12.3456789, NAN, NAN, 0, POSITION, 0),
+                (-5, NAN, NAN, NAN, -0.4321, 7, ACCELERATION, LATERAL),
+                (2**62, 1.5, -180.0, 300.25, NAN, -1, SPEED, 255)]
+        records = np.zeros(len(rows), synthgen._RECORD_DTYPE)  # np.array leaves padding unset
+        records[:] = rows
+        assert records.tobytes() == b"".join(_RECORD.pack(*row) for row in rows)
 
 
 def test_oracle_features_are_coherent():
